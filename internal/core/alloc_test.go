@@ -129,3 +129,41 @@ func TestExportLookupAllocFree(t *testing.T) {
 		t.Fatalf("export lookup: %v allocations per run, want 0", n)
 	}
 }
+
+// callCtxAllocPin is the allocation count of one full remote null call
+// (Ref.CallCtx over an in-memory session, both spaces in this process)
+// at which TestCallCtxAllocPin holds the call path.
+const callCtxAllocPin = 21
+
+// TestCallCtxAllocPin pins the allocations of a complete remote null
+// call — client marshal, stream open, session write and demux, the
+// owner's parked dispatch handler, reply, decode and stream release —
+// end to end through the real transport, not just the marshal and
+// dispatch functions TestNullCallLoopAllocFree composes.
+func TestCallCtxAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in non-race builds")
+	}
+	tn := newTestNet(t)
+	owner := tn.space("owner", nil)
+	client := tn.space("client", nil)
+	ref, err := owner.Export(&nullSvc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cref := handoff(t, ref, client)
+	ctx := context.Background()
+	call := func() {
+		if _, err := cref.CallCtx(ctx, "Ping"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call() // warm the pools, the session and the parked handler
+	}
+	n := testing.AllocsPerRun(500, call)
+	t.Logf("full null call: %v allocations per call", n)
+	if n > callCtxAllocPin {
+		t.Fatalf("full null call: %v allocations per call, pin %d", n, callCtxAllocPin)
+	}
+}

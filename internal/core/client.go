@@ -41,7 +41,9 @@ func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
+	// The reply is decoded before the deferred Release recycles its frame;
+	// acknowledgements carry no byte fields that could alias it.
+	defer st.Release()
 	_ = st.SetDeadline(time.Now().Add(timeout))
 	bp := wire.GetBuf()
 	out := wire.Marshal((*bp)[:0], req)
@@ -506,11 +508,14 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 	var w *cancelWatch
 	if ctx.Done() != nil {
 		w = newCancelWatch()
+		// The call frame is pooled and recycled as soon as this function
+		// returns, which a fired watcher can outlive: copy what it needs.
+		id, method := call.ID, call.Method
 		go func() {
 			select {
 			case <-ctx.Done():
 				if w.fire() {
-					sp.forwardCancel(call.ID, call.Method, endpoints)
+					sp.forwardCancel(id, method, endpoints)
 					// Closing the stream unblocks the receive below; the
 					// shared connection stays up for everyone else.
 					_ = st.Close()
@@ -524,7 +529,10 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 	if w != nil {
 		cancelled = w.finish()
 	}
-	_ = st.Close()
+	// The watcher only ever Closes the stream, which recycles nothing, so
+	// a cancel that fires mid-decode cannot pull the result frame out from
+	// under exchange; the frame goes back to the pool here, once decoded.
+	st.Release()
 	if cancelled {
 		return ctxCallError(ctx, call.Method+" cancelled in flight")
 	}

@@ -553,7 +553,7 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 	if w != nil {
 		cancelled = w.finish()
 	}
-	_ = st.Close()
+	st.Release()
 	sp.metrics.CallLatency.Observe(time.Since(start))
 	if sp.tracer != nil {
 		sp.tracer.Emit(obs.Event{Kind: obs.EvCallReply, Time: time.Now(),
@@ -686,7 +686,7 @@ func (r *Ref) OneWayCtx(ctx context.Context, method string, args ...any) error {
 	if err != nil {
 		return err
 	}
-	defer st.Close()
+	defer st.Release()
 	if d, ok := ctx.Deadline(); ok {
 		_ = st.SetDeadline(d)
 	}

@@ -192,10 +192,12 @@ func (sp *Space) ownedRef(obj any, fps []uint64) *Ref {
 
 // WireRep returns the reference's current wire representation. For owner
 // handles this (re-)exports the object, so the result is valid until the
-// dirty set next empties.
+// dirty set next empties — but not before the receiver's dirty call has
+// had a chance to arrive: the entry is marked as handed out, so a clean
+// already in flight when the wireRep left does not withdraw it.
 func (r *Ref) WireRep() (wire.WireRep, error) {
 	if r.IsOwner() {
-		ix, err := r.sp.exports.Export(r.concrete, r.fingerprints)
+		ix, err := r.sp.exports.HandOut(r.concrete, r.fingerprints)
 		if err != nil {
 			return wire.WireRep{}, err
 		}

@@ -191,7 +191,7 @@ func (sp *Space) serveMux(c transport.Conn, first []byte) {
 // results), so the per-message handlers run on it exactly as they do on a
 // whole checked-out connection.
 func (sp *Space) serveStream(st *transport.Stream) {
-	defer st.Close()
+	defer st.Release()
 	frame, err := st.Recv(nil)
 	if err != nil {
 		return
@@ -317,8 +317,24 @@ func (sp *Space) handleClean(m *wire.Clean) *wire.CleanAck {
 		sp.metrics.StaleRejected.Inc()
 		return &wire.CleanAck{Status: wire.StatusOK}
 	}
-	sp.exports.Clean(m.Obj, m.Client, m.Seq, m.Strong)
+	sp.clean(m.Obj, m.Client, m.Seq, m.Strong)
 	return &wire.CleanAck{Status: wire.StatusOK}
+}
+
+// handOutGrace is how long an entry whose wireRep was handed out of band
+// (Ref.WireRep) survives a clean that empties its dirty set. Such a clean
+// can have been in flight when the wireRep left; the receiver then holds
+// it in the ccitnil state and sends its dirty call as soon as the clean
+// is acknowledged, so the grace need only cover one exchange. A dirty
+// call arriving later finds the object withdrawn, as it would without
+// the grace.
+const handOutGrace = time.Second
+
+// clean applies one clean call, giving a reprieved hand-out its grace.
+func (sp *Space) clean(obj uint64, client wire.SpaceID, seq uint64, strong bool) {
+	if sp.exports.Clean(obj, client, seq, strong) {
+		time.AfterFunc(handOutGrace, func() { sp.exports.EndHandOut(obj) })
+	}
 }
 
 func (sp *Space) handleCleanBatch(m *wire.CleanBatch) *wire.CleanAck {
@@ -347,7 +363,7 @@ func (sp *Space) handleCleanBatch(m *wire.CleanBatch) *wire.CleanAck {
 		if i < len(m.Seqs) {
 			seq = m.Seqs[i]
 		}
-		sp.exports.Clean(m.Objs[i], m.Client, seq, strong)
+		sp.clean(m.Objs[i], m.Client, seq, strong)
 	}
 	return &wire.CleanAck{Status: wire.StatusOK}
 }

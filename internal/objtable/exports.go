@@ -98,6 +98,11 @@ type ExportEntry struct {
 
 	clients map[wire.SpaceID]*clientInfo
 	pins    int
+	// handedOut marks a wireRep given out of band (HandOut) whose
+	// receiver has not registered yet: until the next accepted dirty call
+	// or EndHandOut, a clean that empties the dirty set leaves the entry in
+	// the table instead of withdrawing it (see Clean).
+	handedOut bool
 }
 
 // clientInfo tracks one client space's relationship to an exported object.
@@ -204,6 +209,10 @@ func exportable(obj any) bool {
 // its index. Export is idempotent per object: marshaling the same concrete
 // object twice yields the same wireRep while the entry lives.
 func (e *Exports) Export(obj any, fingerprints []uint64) (uint64, error) {
+	return e.export(obj, fingerprints, false)
+}
+
+func (e *Exports) export(obj any, fingerprints []uint64, handOut bool) (uint64, error) {
 	if !exportable(obj) {
 		return 0, fmt.Errorf("%w: %T", ErrNotExportable, obj)
 	}
@@ -211,6 +220,11 @@ func (e *Exports) Export(obj any, fingerprints []uint64) (uint64, error) {
 	e.lock(s)
 	defer s.mu.Unlock()
 	if ix, ok := s.byObj[obj]; ok {
+		// A well-known entry's index slot may live in another shard; it
+		// is never withdrawn, so it needs no mark.
+		if ent := s.byIndex[ix]; ent != nil && handOut {
+			ent.handedOut = true
+		}
 		return ix, nil
 	}
 	ix := s.next
@@ -228,9 +242,21 @@ func (e *Exports) Export(obj any, fingerprints []uint64) (uint64, error) {
 		Obj:          obj,
 		Fingerprints: fingerprints,
 		clients:      make(map[wire.SpaceID]*clientInfo),
+		handedOut:    handOut,
 	}
 	s.byObj[obj] = ix
 	return ix, nil
+}
+
+// HandOut is Export for a wireRep that leaves the owner out of band — not
+// inside a call, so no transient dirty entry covers its transit. It marks
+// the entry so that a clean still in flight from an earlier holder cannot
+// withdraw it before the receiver's dirty call arrives: under ordered
+// collector channels that clean is delivered first, and the dirty call
+// would then find no such object. The next accepted dirty call clears
+// the mark, as does EndHandOut after a reprieving Clean.
+func (e *Exports) HandOut(obj any, fingerprints []uint64) (uint64, error) {
+	return e.export(obj, fingerprints, true)
 }
 
 // ExportAt places obj at a specific well-known index and pins it there.
@@ -329,6 +355,7 @@ func (e *Exports) Dirty(index uint64, client wire.SpaceID, seq uint64, endpoints
 	}
 	ci.lastSeq = seq
 	ci.inSet = true
+	ent.handedOut = false
 	if len(endpoints) > 0 {
 		ci.endpoints = endpoints
 	}
@@ -339,13 +366,19 @@ func (e *Exports) Dirty(index uint64, client wire.SpaceID, seq uint64, endpoints
 // the largest sequence number seen. Cleans for unknown objects or clients
 // are no-ops, as the paper specifies ("if it is not in the set, the clean
 // call is a no-op"). Withdrawn objects are reported via OnWithdraw.
-func (e *Exports) Clean(index uint64, client wire.SpaceID, seq uint64, strong bool) {
+//
+// A clean that empties the dirty set of a handed-out entry reports
+// reprieved: the entry stays, because the clean may have been in flight
+// when the wireRep was handed out, and the receiver's dirty call is then
+// right behind it. The caller ends the reprieve with EndHandOut once the
+// dirty call has had time to arrive.
+func (e *Exports) Clean(index uint64, client wire.SpaceID, seq uint64, strong bool) (reprieved bool) {
 	s := e.shardForIndex(index)
 	e.lock(s)
 	ent, ok := s.byIndex[index]
 	if !ok {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	ci := ent.clients[client]
 	if ci == nil {
@@ -355,7 +388,7 @@ func (e *Exports) Clean(index uint64, client wire.SpaceID, seq uint64, strong bo
 			ent.clients[client] = &clientInfo{lastSeq: seq}
 		}
 		s.mu.Unlock()
-		return
+		return false
 	}
 	// The sequence rule applies to strong cleans too: a strong clean that
 	// has been overtaken by a later dirty call (a fresh registration)
@@ -364,11 +397,32 @@ func (e *Exports) Clean(index uint64, client wire.SpaceID, seq uint64, strong bo
 	// the strong clean cancels.
 	if seq <= ci.lastSeq {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	ci.lastSeq = seq
 	ci.inSet = false
+	if ent.handedOut && !ent.held() {
+		s.mu.Unlock()
+		return true
+	}
 	withdrawn := e.maybeWithdrawLocked(s, ent)
+	s.mu.Unlock()
+	if withdrawn != nil && e.OnWithdraw != nil {
+		e.OnWithdraw(withdrawn.Index, withdrawn.Obj)
+	}
+	return false
+}
+
+// EndHandOut clears the hand-out mark of the entry at index (if a dirty
+// call has not already) and withdraws the entry if nothing else holds it.
+func (e *Exports) EndHandOut(index uint64) {
+	s := e.shardForIndex(index)
+	e.lock(s)
+	var withdrawn *ExportEntry
+	if ent, ok := s.byIndex[index]; ok && ent.handedOut {
+		ent.handedOut = false
+		withdrawn = e.maybeWithdrawLocked(s, ent)
+	}
 	s.mu.Unlock()
 	if withdrawn != nil && e.OnWithdraw != nil {
 		e.OnWithdraw(withdrawn.Index, withdrawn.Obj)
@@ -415,17 +469,26 @@ func (e *Exports) Unpin(index uint64) {
 // non-pinned entry's byIndex and byObj slots live in the same shard, so
 // the removal is one critical section.
 func (e *Exports) maybeWithdrawLocked(s *exportShard, ent *ExportEntry) *ExportEntry {
-	if ent.Pinned || ent.pins > 0 {
+	if ent.held() {
 		return nil
-	}
-	for _, ci := range ent.clients {
-		if ci.inSet {
-			return nil
-		}
 	}
 	delete(s.byIndex, ent.Index)
 	delete(s.byObj, ent.Obj)
 	return ent
+}
+
+// held reports whether a dirty-set member, a transient pin or the
+// well-known pin keeps ent alive. The caller holds its shard's lock.
+func (ent *ExportEntry) held() bool {
+	if ent.Pinned || ent.pins > 0 {
+		return true
+	}
+	for _, ci := range ent.clients {
+		if ci.inSet {
+			return true
+		}
+	}
+	return false
 }
 
 // Sweep withdraws every unpinned entry whose dirty set is empty and that

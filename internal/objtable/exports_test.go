@@ -263,3 +263,54 @@ func TestConcurrentExportAndDirty(t *testing.T) {
 		t.Fatalf("leaked %d entries", e.Len())
 	}
 }
+
+// TestHandOutSurvivesInFlightClean pins the out-of-band hand-out rule:
+// a clean that empties the dirty set of a handed-out entry reprieves it,
+// so the receiver's dirty call queued behind that clean still finds the
+// object; the dirty clears the mark, and later cleans withdraw normally.
+// A reprieve nobody follows up is ended by EndHandOut.
+func TestHandOutSurvivesInFlightClean(t *testing.T) {
+	const c = wire.SpaceID(9)
+	e := NewExports()
+	obj := &thing{}
+	ix, _ := e.Export(obj, nil)
+	if err := e.Dirty(ix, c, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The owner hands the wireRep out while c's clean (seq 2) is in
+	// flight; c re-registers (seq 3) as soon as that clean is answered.
+	if hix, err := e.HandOut(obj, nil); err != nil || hix != ix {
+		t.Fatalf("HandOut = %d, %v; want %d", hix, err, ix)
+	}
+	if !e.Clean(ix, c, 2, false) {
+		t.Fatal("clean emptying a handed-out entry did not reprieve it")
+	}
+	if err := e.Dirty(ix, c, 3, nil); err != nil {
+		t.Fatalf("dirty behind the in-flight clean: %v", err)
+	}
+	e.EndHandOut(ix) // the grace expires after the dirty: no effect
+	if !e.HoldsDirty(ix, c) {
+		t.Fatal("EndHandOut dropped a registered client")
+	}
+	if e.Clean(ix, c, 4, false) {
+		t.Fatal("the dirty call did not clear the hand-out mark")
+	}
+	if e.Len() != 0 {
+		t.Fatal("entry not withdrawn by the final clean")
+	}
+
+	// A hand-out whose receiver never registers: the reprieve ends.
+	ix, _ = e.Export(obj, nil)
+	_ = e.Dirty(ix, c, 5, nil)
+	_, _ = e.HandOut(obj, nil)
+	if !e.Clean(ix, c, 6, false) {
+		t.Fatal("no reprieve")
+	}
+	if e.Len() != 1 {
+		t.Fatal("reprieved entry withdrawn")
+	}
+	e.EndHandOut(ix)
+	if e.Len() != 0 {
+		t.Fatal("EndHandOut left an unheld entry in the table")
+	}
+}

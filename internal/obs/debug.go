@@ -79,7 +79,8 @@ type SessionInfo struct {
 	Dir string
 	// InFlight is the number of exchanges awaiting their response.
 	InFlight int
-	// QueueDepth is the number of frames waiting in the writer queue.
+	// QueueDepth is the number of frames waiting in the writer's batching
+	// queue.
 	QueueDepth int
 	// BytesSent and BytesRecv count wire bytes through the session.
 	BytesSent uint64

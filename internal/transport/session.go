@@ -17,12 +17,26 @@ import (
 // checked a connection out of the pool for the duration of one call, so N
 // concurrent calls to a peer cost N connections. A Session instead owns a
 // single Conn and interleaves any number of logical exchanges on it: a
-// writer goroutine serializes outbound frames, a demux-reader goroutine
+// session write lock serializes outbound frames, a demux-reader goroutine
 // routes inbound frames to waiting streams by the id in their mux
 // envelope (see wire.AppendMuxHeader), and responses complete in whatever
 // order the peer finishes them — no head-of-line blocking on call
 // completion. Head-of-line blocking on frame *transmission* remains, as
 // it must on a byte stream.
+//
+// Writes take one of two paths. A small frame is written by the sending
+// goroutine itself under the write lock, so a call costs no goroutine
+// handoff on the way out. Everything that needs a scheduler is written by
+// the session's writer goroutine, which takes the same lock once per
+// frame: the stream-0 hellos (the lock is held from NewSession until they
+// are out, so they are always the first frames), flow-control frames,
+// credit-gated data chunks and BatchWindow batches. The lock hands off in
+// arrival order, so a cancel waits behind at most the one data chunk
+// being written.
+//
+// Inbound streams opened by the peer are served by handler goroutines the
+// session keeps parked between streams (up to maxIdleHandlers), so a
+// dispatch neither starts a goroutine nor regrows its stack per call.
 //
 // A Stream is one logical exchange on a session and implements Conn, so
 // the runtime's call code (send request, await response, acknowledge) runs
@@ -30,10 +44,18 @@ import (
 // a shared link. Closing a stream abandons only that exchange: late
 // responses to it are recognized by their id and dropped, and every other
 // stream on the session is untouched — this is what lets a cancelled call
-// stop waiting without poisoning the link for its neighbours.
+// stop waiting without poisoning the link for its neighbours. The owner of
+// an exchange ends it with Release, which also returns the stream's
+// receive buffers to the pool.
 
-// DefaultWriteQueue is the session writer's queue capacity in frames.
-const DefaultWriteQueue = 64
+// batchQueue is the capacity, in frames, of the writer's queue for frames
+// that wait to be batched.
+const batchQueue = 64
+
+// maxIdleHandlers caps the accept handlers a session keeps parked between
+// inbound streams. A burst of concurrent dispatches starts as many
+// handlers as it needs; once it drains, all but this many exit.
+const maxIdleHandlers = 16
 
 // streamInbox is a stream's inbound frame buffer. Exchanges are short
 // (request, response, maybe an ack), so a small buffer suffices; a peer
@@ -42,8 +64,9 @@ const streamInbox = 16
 
 // SessionOptions configures a Session.
 type SessionOptions struct {
-	// Accept, when non-nil, is invoked in a fresh goroutine for every
-	// stream the peer opens (a frame with an unknown id). Server sessions
+	// Accept, when non-nil, is invoked on a handler goroutine of the
+	// session for every stream the peer opens (a frame with an unknown
+	// id); handlers are reused across streams. Server sessions
 	// set it to their dispatch entry; client sessions leave it nil, which
 	// makes unknown ids late responses to abandoned exchanges, dropped.
 	Accept func(*Stream)
@@ -52,9 +75,6 @@ type SessionOptions struct {
 	// switch the connection into session mode. It is demultiplexed before
 	// any other inbound frame.
 	Preread []byte
-	// WriteQueue overrides the writer queue capacity (DefaultWriteQueue
-	// when zero).
-	WriteQueue int
 	// Flow, when non-nil, enables credit-based flow control, chunked
 	// large-payload streaming and keepalives for the session (see
 	// internal/flow). Zero fields take the package defaults. A nil Flow
@@ -89,9 +109,9 @@ type SessionOptions struct {
 }
 
 // Session multiplexes logical streams over one Conn. It assumes exclusive
-// ownership of the connection: exactly one goroutine (the writer) sends
-// and exactly one (the demux reader) receives, which is the concurrency
-// contract every Conn implementation supports.
+// ownership of the connection: at most one goroutine at a time sends (the
+// holder of the write lock) and exactly one (the demux reader) receives,
+// which is the concurrency contract every Conn implementation supports.
 type Session struct {
 	c      Conn
 	accept func(*Stream)
@@ -100,8 +120,22 @@ type Session struct {
 	// session_flow.go.
 	flow *flowState
 
+	// wlock is the write lock: a one-slot semaphore, so a sender can give
+	// up waiting at its deadline, and blocked senders are served in
+	// arrival order. wd is the connection's write-deadline control (nil
+	// when it has none) and wdl the write deadline last set on it, in Unix
+	// nanoseconds (0 = none); both are guarded by wlock.
+	wlock chan struct{}
+	wd    writeDeadliner
+	wdl   int64
+
 	writeCh chan writeReq
 	done    chan struct{}
+
+	// handoff passes a fresh inbound stream to a parked handler; idle
+	// counts the handlers parked (or about to park) on it.
+	handoff chan *Stream
+	idle    atomic.Int32
 
 	mu      sync.Mutex
 	streams map[uint64]*Stream
@@ -139,7 +173,8 @@ type SessionStats struct {
 	// InFlight is the number of open streams (exchanges awaiting their
 	// response).
 	InFlight int
-	// QueueDepth is the number of frames waiting in the writer queue.
+	// QueueDepth is the number of frames waiting in the writer's batching
+	// queue.
 	QueueDepth int
 	// BytesSent and BytesRecv count wire bytes through the session,
 	// envelopes included.
@@ -163,31 +198,31 @@ type SessionStats struct {
 // goroutines. The session owns c from here on: closing the session closes
 // the connection, and a connection error tears the session down.
 func NewSession(c Conn, opts SessionOptions) *Session {
-	q := opts.WriteQueue
-	if q <= 0 {
-		q = DefaultWriteQueue
-	}
 	s := &Session{
 		c:           c,
 		accept:      opts.Accept,
-		writeCh:     make(chan writeReq, q),
+		wlock:       make(chan struct{}, 1),
+		writeCh:     make(chan writeReq, batchQueue),
 		done:        make(chan struct{}),
+		handoff:     make(chan *Stream),
 		streams:     make(map[uint64]*Stream),
 		onKeepalive: opts.OnKeepalive,
 	}
+	s.wd, _ = c.(writeDeadliner)
+	var hellos []*[]byte
 	if opts.Flow != nil {
 		s.flow = newFlowState(opts.Flow.WithDefaults(), opts.Metrics)
-		// Advertise our receive windows before anything else can be
-		// queued: the hello must be the session's first frame, so a
-		// receiving server switches into session mode on it and a
-		// flow-enabled peer learns our capability as early as possible.
-		s.writeCh <- writeReq{bp: s.flow.helloFrame(), ack: make(chan error, 1)}
+		// Advertise our receive windows before anything else is written:
+		// the hello must be the session's first frame, so a receiving
+		// server switches into session mode on it and a flow-enabled peer
+		// learns our capability as early as possible.
+		hellos = append(hellos, s.flow.helloFrame())
 		if !opts.NoPipeline {
 			// Pipelining rides the same stream-0 hello mechanism; a
 			// separate message rather than new SessHello fields because
 			// the decoder rejects trailing bytes. Legacy peers ignore it.
 			caps := uint64(wire.CapPipeline | wire.CapBatch)
-			s.writeCh <- writeReq{bp: s.flow.pipeHelloFrame(caps), ack: make(chan error, 1)}
+			hellos = append(hellos, s.flow.pipeHelloFrame(caps))
 		}
 		s.batchWindow = opts.BatchWindow
 	}
@@ -196,14 +231,19 @@ func NewSession(c Conn, opts SessionOptions) *Session {
 		// its liveness traffic for us onto this session's keepalives. Sent
 		// even on flowless sessions: identity is orthogonal to flow, and
 		// like the other hellos it is discarded harmlessly by old peers.
-		s.writeCh <- writeReq{bp: peerHelloFrame(opts.LocalSpace), ack: make(chan error, 1)}
+		hellos = append(hellos, peerHelloFrame(opts.LocalSpace))
+	}
+	if len(hellos) > 0 {
+		// Hold the write lock until the writer has sent the hellos, so no
+		// sender can put a frame on the wire ahead of them.
+		s.wlock <- struct{}{}
 	}
 	loops := 2
 	if s.flow != nil && s.flow.ka != nil {
 		loops++
 	}
 	s.loops.Add(loops)
-	go s.writeLoop()
+	go s.writeLoop(hellos)
 	go s.readLoop(opts.Preread)
 	if s.flow != nil && s.flow.ka != nil {
 		go s.keepaliveLoop()
@@ -246,7 +286,9 @@ func (s *Session) PeerSpace() wire.SpaceID {
 
 // KeepaliveHealthy reports whether an active session keepalive is
 // currently confirming the peer: flow is on, the keepalive is running,
-// and the peer has answered within its miss budget. This is the strong
+// the peer has answered within its miss budget, and the connection does
+// not already know the peer is gone (a crashed peer's connection can say
+// so before the reader has torn the session down). This is the strong
 // liveness signal collector traffic may be subsumed by — Healthy() alone
 // falls back to a connection probe, which cannot distinguish a hung peer
 // process from a live one.
@@ -257,7 +299,7 @@ func (s *Session) KeepaliveHealthy() bool {
 	default:
 	}
 	f := s.flow
-	return f != nil && f.ka != nil && f.peerOK.Load()
+	return f != nil && f.ka != nil && f.peerOK.Load() && Healthy(s.c)
 }
 
 // notifyKeepalive fires the OnKeepalive callback for an identified peer.
@@ -351,8 +393,8 @@ func (s *Session) Close() error {
 func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Wait blocks until the session's goroutines — writer, demux reader, and
-// any accept handlers — have finished. Serving loops use it so a space's
-// shutdown can wait for inbound dispatches.
+// accept handlers, busy or parked — have finished. Serving loops use it
+// so a space's shutdown can wait for inbound dispatches.
 func (s *Session) Wait() {
 	s.loops.Wait()
 	s.handlers.Wait()
@@ -441,25 +483,93 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// writeReq is one queued frame plus the channel that reports its
-// physical write back to the Stream.Send that queued it.
+// writeReq is one frame queued for batching plus the channel that reports
+// its physical write back to the Stream.Send that queued it.
 type writeReq struct {
 	bp  *[]byte
 	ack chan error // buffered(1); receives exactly one result
 }
 
-// writeLoop drains the writer queue onto the connection. Frames from all
-// streams are serialized here — queue depth, not connection count, is
-// what concurrency costs.
+// lockWrite takes the write lock for the writer goroutine, which waits
+// without a deadline; it reports false once the session is torn down.
+func (s *Session) lockWrite() bool {
+	select {
+	case s.wlock <- struct{}{}:
+		return true
+	case <-s.done:
+		return false
+	}
+}
+
+func (s *Session) unlockWrite() { <-s.wlock }
+
+// writeLocked writes one frame; the caller holds the write lock. d is the
+// writing stream's deadline in Unix nanoseconds (0 = none). A deadline
+// that has already passed fails with errUnsent before anything is
+// written. On a connection with a write deadline d also bounds the write,
+// so a peer that stops reading cannot hold a sender past its deadline;
+// the reader is not affected.
+func (s *Session) writeLocked(frame []byte, d int64) error {
+	if d != 0 && time.Now().UnixNano() >= d {
+		return errors.Join(ErrTimeout, errUnsent)
+	}
+	if s.wd != nil && d != s.wdl {
+		var t time.Time
+		if d != 0 {
+			t = time.Unix(0, d)
+		}
+		if err := s.wd.SetWriteDeadline(t); err != nil {
+			return err
+		}
+		s.wdl = d
+	}
+	if err := s.c.Send(frame); err != nil {
+		return err
+	}
+	s.bytesSent.Add(uint64(len(frame)))
+	return nil
+}
+
+// writeFrame takes the write lock and writes one writer-goroutine frame.
+// A failed write fails the session; the error is returned.
+func (s *Session) writeFrame(frame []byte) error {
+	if !s.lockWrite() {
+		return s.closeErr()
+	}
+	err := s.writeLocked(frame, 0)
+	s.unlockWrite()
+	if err != nil {
+		s.fail(err)
+	}
+	return err
+}
+
+// writeLoop is the session's writer goroutine. It sends the hellos first
+// (NewSession took the write lock for them), then serves the work that
+// needs a scheduler, taking the write lock for each frame.
 //
-// With flow control enabled the loop becomes a strict priority
-// scheduler: pending protocol frames (pongs, window grants, resets,
-// pings) first, then every queued writeCh frame — small calls,
-// responses, cancels, collector RPCs — and only with both lanes empty
-// one credit-gated data chunk. A cancel therefore overtakes any queued
-// bulk payload and waits at most one chunk write.
-func (s *Session) writeLoop() {
+// With flow control enabled the loop is a strict priority scheduler:
+// pending protocol frames (pongs, window grants, resets, pings) first,
+// then frames queued for batching, and only with both lanes empty one
+// credit-gated data chunk. Small frames written by their senders compete
+// for the lock between any two of these frames, so a cancel waits behind
+// at most one chunk write.
+func (s *Session) writeLoop(hellos []*[]byte) {
 	defer s.loops.Done()
+	if len(hellos) > 0 {
+		var err error
+		for _, bp := range hellos {
+			if err == nil {
+				err = s.writeLocked(*bp, 0)
+			}
+			wire.PutBuf(bp)
+		}
+		s.unlockWrite()
+		if err != nil {
+			s.fail(err)
+			return
+		}
+	}
 	var ctrlKick, dataKick <-chan struct{}
 	if s.flow != nil {
 		ctrlKick = s.flow.kick
@@ -468,7 +578,6 @@ func (s *Session) writeLoop() {
 	for {
 		if s.flow != nil {
 			if err := s.flow.writeControl(s); err != nil {
-				s.fail(err)
 				return
 			}
 		}
@@ -485,7 +594,6 @@ func (s *Session) writeLoop() {
 		if s.flow != nil {
 			wrote, err := s.flow.writeData(s)
 			if err != nil {
-				s.fail(err)
 				return
 			}
 			if wrote {
@@ -507,22 +615,26 @@ func (s *Session) writeLoop() {
 }
 
 // Batching bounds: only frames up to batchMaxFrame ride in a batch (a
-// large frame flushes the batch and goes out alone), and a batch closes
-// once it holds batchMaxBytes regardless of the flush window.
+// larger one is written by its sender), and a batch closes once it holds
+// batchMaxBytes regardless of the flush window.
 const (
 	batchMaxFrame = 2 << 10
 	batchMaxBytes = 16 << 10
 )
 
+// batching reports whether a frame of n bytes goes through the writer's
+// batching queue instead of being written by its sender: batching is
+// enabled, the peer advertised CapBatch, and the frame is small enough.
+func (s *Session) batching(n int) bool {
+	return s.batchWindow > 0 && s.flow != nil &&
+		s.flow.peerCaps.Load()&wire.CapBatch != 0 && n <= batchMaxFrame
+}
+
 // writeQueued writes one queued frame, coalescing a burst of small
-// companions into a single OpBatch frame when batching is enabled and the
-// peer advertised CapBatch. The first frame of a burst waits at most the
-// flush window; everything already queued behind it ships immediately.
+// companions into a single OpBatch frame. The first frame of a burst
+// waits at most the flush window; everything already queued behind it
+// ships immediately.
 func (s *Session) writeQueued(req writeReq) bool {
-	if s.batchWindow <= 0 || s.flow == nil ||
-		s.flow.peerCaps.Load()&wire.CapBatch == 0 || len(*req.bp) > batchMaxFrame {
-		return s.writeOne(req)
-	}
 	batch := []writeReq{req}
 	total := len(*req.bp)
 	flush := time.NewTimer(s.batchWindow)
@@ -531,17 +643,6 @@ collect:
 	for total < batchMaxBytes {
 		select {
 		case r2 := <-s.writeCh:
-			if len(*r2.bp) > batchMaxFrame {
-				// Too big to batch: flush what we have, then send it
-				// alone, preserving queue order.
-				if !s.writeBatch(batch) {
-					err := s.closeErr()
-					wire.PutBuf(r2.bp)
-					r2.ack <- err
-					return false
-				}
-				return s.writeOne(r2)
-			}
 			batch = append(batch, r2)
 			total += len(*r2.bp)
 		case <-flush.C:
@@ -562,49 +663,30 @@ collect:
 // materialized, as one OpBatch frame otherwise — and acks every waiting
 // Stream.Send.
 func (s *Session) writeBatch(batch []writeReq) bool {
-	if len(batch) == 1 {
-		return s.writeOne(batch[0])
-	}
-	bp := wire.GetBuf()
-	buf := wire.AppendBatchHeader((*bp)[:0])
-	for _, r := range batch {
-		buf = wire.AppendBatchFrame(buf, *r.bp)
-	}
-	*bp = buf
-	err := s.c.Send(*bp)
-	if err == nil {
-		s.bytesSent.Add(uint64(len(*bp)))
-		if f := s.flow; f != nil {
-			f.mBatches.Inc()
-			f.mBatchFrames.Add(uint64(len(batch)))
+	bp := batch[0].bp
+	if len(batch) > 1 {
+		bp = wire.GetBuf()
+		buf := wire.AppendBatchHeader((*bp)[:0])
+		for _, r := range batch {
+			buf = wire.AppendBatchFrame(buf, *r.bp)
 		}
+		*bp = buf
 	}
-	wire.PutBuf(bp)
+	err := s.writeFrame(*bp)
+	if len(batch) > 1 {
+		if err == nil {
+			if f := s.flow; f != nil {
+				f.mBatches.Inc()
+				f.mBatchFrames.Add(uint64(len(batch)))
+			}
+		}
+		wire.PutBuf(bp)
+	}
 	for _, r := range batch {
 		wire.PutBuf(r.bp)
 		r.ack <- err
 	}
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	return true
-}
-
-// writeOne sends one queued frame, acking the Stream.Send that queued it.
-// It reports false when the write failed and the session is down.
-func (s *Session) writeOne(req writeReq) bool {
-	err := s.c.Send(*req.bp)
-	if err == nil {
-		s.bytesSent.Add(uint64(len(*req.bp)))
-	}
-	wire.PutBuf(req.bp)
-	req.ack <- err
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	return true
+	return err == nil
 }
 
 // readLoop demultiplexes inbound frames to their streams by envelope id.
@@ -728,8 +810,13 @@ func (s *Session) readFlowFrame(frame []byte) bool {
 }
 
 // dispatch routes one inbound payload to its stream, creating the stream
-// (and spawning its accept handler) when the peer opened it.
+// (and handing it to an accept handler) when the peer opened it. The
+// payload is delivered under s.mu, the lock Close takes to forget the
+// stream, so once Close has returned no frame can land in the inbox —
+// Release relies on that to recycle every delivered buffer.
 func (s *Session) dispatch(id uint64, payload []byte) {
+	bp := wire.GetBuf()
+	*bp = append((*bp)[:0], payload...)
 	s.mu.Lock()
 	st, known := s.streams[id]
 	fresh := false
@@ -737,34 +824,66 @@ func (s *Session) dispatch(id uint64, payload []byte) {
 		st = s.newStreamLocked(id)
 		fresh = true
 	}
-	s.mu.Unlock()
-	if st == nil {
-		return
+	delivered := false
+	if st != nil {
+		select {
+		case st.in <- inMsg{bp: bp}:
+			delivered = true
+		default:
+			// Inbox overflow: treat like a lossy link rather than letting
+			// one stream wedge the whole session's reader.
+		}
 	}
-	bp := wire.GetBuf()
-	*bp = append((*bp)[:0], payload...)
-	select {
-	case st.in <- inMsg{bp: bp}:
-	default:
-		// Inbox overflow: treat like a lossy link rather than letting one
-		// stream wedge the whole session's reader.
+	s.mu.Unlock()
+	if !delivered {
 		wire.PutBuf(bp)
 	}
 	if fresh {
-		s.handlers.Add(1)
-		go func() {
-			defer s.handlers.Done()
-			s.accept(st)
-		}()
+		s.serve(st)
+	}
+}
+
+// serve runs the accept handler for a fresh inbound stream on a parked
+// handler goroutine, starting a new one only when none is parked. Called
+// only from the read loop.
+func (s *Session) serve(st *Stream) {
+	select {
+	case s.handoff <- st:
+		return
+	default:
+	}
+	s.handlers.Add(1)
+	go s.handle(st)
+}
+
+// handle is one handler goroutine: it serves st, then parks for the next
+// stream, keeping its grown stack for it. It exits when the session is
+// torn down, or after a stream when maxIdleHandlers are already parked.
+func (s *Session) handle(st *Stream) {
+	defer s.handlers.Done()
+	for {
+		s.accept(st)
+		if s.idle.Add(1) > maxIdleHandlers {
+			s.idle.Add(-1)
+			return
+		}
+		select {
+		case st = <-s.handoff:
+			s.idle.Add(-1)
+		case <-s.done:
+			s.idle.Add(-1)
+			return
+		}
 	}
 }
 
 // Stream is one logical exchange on a session. It implements Conn: Send
-// wraps the payload in the stream's mux envelope and queues it for the
-// session writer; Recv awaits the next inbound frame routed to this id.
-// Per the Conn contract a stream is used by one exchange at a time, with
-// Close safe concurrently (a cancellation watcher closes the stream to
-// abandon the exchange without touching the shared link).
+// wraps the payload in the stream's mux envelope and writes it (or hands
+// it to the session writer); Recv awaits the next inbound frame routed to
+// this id. Per the Conn contract a stream is used by one exchange at a
+// time, with Close safe concurrently (a cancellation watcher closes the
+// stream to abandon the exchange without touching the shared link). The
+// goroutine that owns the exchange ends it with Release.
 type Stream struct {
 	s    *Session
 	id   uint64
@@ -773,19 +892,21 @@ type Stream struct {
 	once sync.Once
 
 	// deadline is the exchange deadline in Unix nanoseconds (0 = none).
-	// It bounds the local waits — queue admission and response arrival —
-	// the way a connection deadline bounds socket I/O.
+	// It bounds the local waits — write lock, frame write and response
+	// arrival — the way a connection deadline bounds socket I/O.
 	deadline atomic.Int64
 
 	// last is the pooled buffer returned by the previous Recv, recycled
 	// on the next one (the Conn contract makes a Recv result valid only
-	// until the next Recv). Touched only by the Recv caller.
+	// until the next Recv) or by Release. Touched only by the owner.
 	last *[]byte
 
-	// asm accumulates an in-progress chunked message; touched only by the
-	// session's read loop. ledger is the receive side of this stream's
-	// flow-control window (nil on non-flow sessions); the read loop
-	// charges it as chunks arrive and Recv as messages are consumed.
+	// asm accumulates an in-progress chunked message; the session's read
+	// loop builds it and Release recycles a leftover one, both under amu.
+	// ledger is the receive side of this stream's flow-control window
+	// (nil on non-flow sessions); the read loop charges it as chunks
+	// arrive and Recv as messages are consumed.
+	amu    sync.Mutex
 	asm    *[]byte
 	ledger *flow.RecvLedger
 }
@@ -828,25 +949,81 @@ func (st *Stream) timer() (*time.Timer, <-chan time.Time, error) {
 	return t, t.C, nil
 }
 
-// Send wraps payload in the stream's mux envelope, queues it for the
-// session writer, and waits until the frame has actually been written to
-// the connection (or the write failed). Returning only after the
-// physical write matters for graceful drain: the runtime decrements its
-// in-flight accounting when a dispatch's response Send returns, and
-// shutdown hard-closes connections once that count reaches zero — an
-// enqueue-and-return Send would let a response die unsent in the queue.
+// Send wraps payload in the stream's mux envelope and returns once the
+// frame has actually been written to the connection (or the write
+// failed). Returning only after the physical write matters for graceful
+// drain: the runtime decrements its in-flight accounting when a
+// dispatch's response Send returns, and shutdown hard-closes connections
+// once that count reaches zero — an enqueue-and-return Send would let a
+// response die unsent in a queue.
+//
+// A small frame is written by the calling goroutine under the session
+// write lock. A large one to a flow-capable peer is chunked through the
+// writer's credit scheduler, and with batching on a small one is queued
+// for the writer to coalesce. The stream deadline bounds every wait,
+// including the write itself on connections with a write deadline.
 func (st *Stream) Send(payload []byte) error {
 	if st.isClosed() {
 		return ErrClosed
 	}
-	if f := st.s.flow; f != nil && len(payload) > f.chunkThreshold() && f.waitPeer(st) {
+	s := st.s
+	if f := s.flow; f != nil && len(payload) > f.chunkThreshold() && f.waitPeer(st) {
 		// Large payload to a flow-capable peer: stream it as bounded,
-		// credit-gated chunks instead of one writer-monopolizing frame.
+		// credit-gated chunks instead of one lock-monopolizing frame.
 		return st.sendChunked(payload)
 	}
 	bp := wire.GetBuf()
-	buf := wire.AppendMuxHeader((*bp)[:0], st.id)
-	*bp = append(buf, payload...)
+	*bp = append(wire.AppendMuxHeader((*bp)[:0], st.id), payload...)
+	if s.batching(len(*bp)) {
+		return st.sendQueued(bp)
+	}
+	if err := st.lockWrite(); err != nil {
+		wire.PutBuf(bp)
+		return err
+	}
+	err := s.writeLocked(*bp, st.deadline.Load())
+	s.unlockWrite()
+	wire.PutBuf(bp)
+	if err != nil && !errors.Is(err, errUnsent) {
+		// Part of the frame may be on the wire: the byte stream is no
+		// longer trustworthy for anyone.
+		s.fail(err)
+	}
+	return err
+}
+
+// lockWrite takes the session write lock for this stream's write, giving
+// up when the stream deadline passes or the stream or session closes.
+// The deadline timer is armed only when the lock is contended.
+func (st *Stream) lockWrite() error {
+	s := st.s
+	select {
+	case s.wlock <- struct{}{}:
+		return nil
+	default:
+	}
+	t, tc, err := st.timer()
+	if err != nil {
+		return err
+	}
+	if t != nil {
+		defer t.Stop()
+	}
+	select {
+	case s.wlock <- struct{}{}:
+		return nil
+	case <-st.done:
+		return ErrClosed
+	case <-s.done:
+		return s.closeErr()
+	case <-tc:
+		return ErrTimeout
+	}
+}
+
+// sendQueued hands a built frame to the writer for batching and waits for
+// its physical write.
+func (st *Stream) sendQueued(bp *[]byte) error {
 	t, tc, err := st.timer()
 	if err != nil {
 		wire.PutBuf(bp)
@@ -886,7 +1063,8 @@ func (st *Stream) Send(payload []byte) error {
 
 // Recv returns the next inbound frame routed to this stream. The scratch
 // argument is ignored; the session's demux already copied the payload
-// into a pooled buffer, which Recv recycles on the following call.
+// into a pooled buffer, which Recv recycles on the following call (or
+// Release does).
 func (st *Stream) Recv(scratch []byte) ([]byte, error) {
 	if st.last != nil {
 		wire.PutBuf(st.last)
@@ -949,7 +1127,8 @@ func (st *Stream) SetDeadline(t time.Time) error {
 // Close abandons the exchange: the id is forgotten (late responses to it
 // are dropped by the demux) and blocked Send/Recv calls fail. The shared
 // connection and every other stream are untouched. Safe to call multiple
-// times and concurrently with Send/Recv.
+// times and concurrently with Send/Recv; it recycles nothing, so the
+// owner may still be decoding the last frame Recv returned.
 func (st *Stream) Close() error {
 	st.once.Do(func() {
 		close(st.done)
@@ -963,6 +1142,35 @@ func (st *Stream) Close() error {
 		}
 	})
 	return nil
+}
+
+// Release ends the owner's use of the stream: it closes the stream and
+// returns its receive buffers to the pool — the frame the last Recv
+// returned, frames delivered but never received, and a partial chunk
+// assembly. Only the goroutine that owns the exchange may call it, after
+// its last Send and Recv; the last Recv result is invalid afterwards.
+func (st *Stream) Release() {
+	_ = st.Close()
+	if st.last != nil {
+		wire.PutBuf(st.last)
+		st.last = nil
+	}
+	// The read loop touches asm only under amu and drops chunks for a
+	// closed stream, so after this block it delivers nothing more.
+	st.amu.Lock()
+	if st.asm != nil {
+		wire.PutBuf(st.asm)
+		st.asm = nil
+	}
+	st.amu.Unlock()
+	for {
+		select {
+		case m := <-st.in:
+			wire.PutBuf(m.bp)
+		default:
+			return
+		}
+	}
 }
 
 // RemoteLabel describes the peer and the stream for logs.

@@ -21,12 +21,14 @@ import (
 // than the chunk size travel unchunked exactly as before, so two
 // flow-enabled peers, two legacy peers, or one of each all interoperate.
 //
-// The writer's priority order is strict: pending protocol frames (pongs,
-// window grants, resets, pings) first, then queued writeCh frames (small
-// calls, responses, cancels, collector RPCs), and only when both lanes
-// are empty one data chunk. A cancel therefore waits at most one chunk
-// write — the fairness property PR 4 lost when it folded every exchange
-// onto one connection.
+// The writer goroutine sends these frames in strict priority order:
+// pending protocol frames (pongs, window grants, resets, pings) first,
+// then frames queued for batching, and only when both lanes are empty one
+// data chunk. It takes the session write lock for each frame, and small
+// frames (calls, responses, cancels, collector RPCs) are written by their
+// senders between any two of them, so a cancel waits at most one chunk
+// write — the fairness that folding every exchange onto one connection
+// would otherwise lose.
 
 // flowHelloGrace bounds how long a large send waits for the peer's hello
 // before concluding the peer predates flow control and falling back to a
@@ -310,6 +312,7 @@ func (f *flowState) popControl(bp *[]byte) bool {
 }
 
 // writeControl drains every pending protocol frame onto the connection.
+// A failed write has failed the session.
 func (f *flowState) writeControl(s *Session) error {
 	for {
 		bp := wire.GetBuf()
@@ -317,10 +320,7 @@ func (f *flowState) writeControl(s *Session) error {
 			wire.PutBuf(bp)
 			return nil
 		}
-		err := s.c.Send(*bp)
-		if err == nil {
-			s.bytesSent.Add(uint64(len(*bp)))
-		}
+		err := s.writeFrame(*bp)
 		wire.PutBuf(bp)
 		if err != nil {
 			return err
@@ -329,7 +329,7 @@ func (f *flowState) writeControl(s *Session) error {
 }
 
 // writeData sends at most one credit-gated data chunk, reporting whether
-// it wrote anything.
+// it wrote anything. A failed write has failed the session.
 func (f *flowState) writeData(s *Session) (bool, error) {
 	it, chunk, last, ok := f.sched.Next()
 	if !ok {
@@ -346,13 +346,11 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 	}
 	bp := wire.GetBuf()
 	*bp = append(wire.AppendDataHeader((*bp)[:0], it.ID(), flags), chunk...)
-	err := s.c.Send(*bp)
-	n := len(*bp)
+	err := s.writeFrame(*bp)
 	wire.PutBuf(bp)
 	if err != nil {
 		return false, err
 	}
-	s.bytesSent.Add(uint64(n))
 	f.mChunks.Inc()
 	if last {
 		f.sched.Finish(it, nil)
@@ -381,9 +379,15 @@ func (s *Session) onData(id, flags uint64, chunk []byte) {
 	if st == nil {
 		return // late chunks for an abandoned exchange: dropped
 	}
-	if flags&wire.DataFlagReset != 0 {
-		// The sender abandoned the message mid-stream: drop the partial
-		// assembly and tear the stream down so a blocked handler unwedges.
+	if fresh {
+		defer s.serve(st)
+	}
+	st.amu.Lock()
+	defer st.amu.Unlock()
+	if flags&wire.DataFlagReset != 0 || st.isClosed() {
+		// The sender abandoned the message mid-stream, or the receiver
+		// abandoned the exchange: drop the partial assembly. A reset also
+		// tears the stream down so a blocked handler unwedges.
 		if st.asm != nil {
 			wire.PutBuf(st.asm)
 			st.asm = nil
@@ -421,13 +425,6 @@ func (s *Session) onData(id, flags uint64, chunk []byte) {
 				}
 			}
 		}
-	}
-	if fresh {
-		s.handlers.Add(1)
-		go func() {
-			defer s.handlers.Done()
-			s.accept(st)
-		}()
 	}
 }
 

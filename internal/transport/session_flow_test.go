@@ -207,11 +207,11 @@ func TestFlowSmallCallsOvertakeBulk(t *testing.T) {
 	}
 }
 
-// TestFlowCancelPriority pins the regression the issue calls out: a
-// cancel (a plain writeCh frame) queued while an 8MB argument is
-// mid-stream must reach the wire ahead of the queued data, not behind
-// it. The slow connection's write log shows the order frames hit the
-// wire.
+// TestFlowCancelPriority pins cancel priority: a cancel (a small frame
+// its sender writes) sent while an 8MB argument is mid-stream must reach
+// the wire ahead of the queued data, not behind it, and the session's
+// hellos must still lead the wire. The slow connection's write log shows
+// the order frames hit the wire.
 func TestFlowCancelPriority(t *testing.T) {
 	p := flow.Params{ChunkSize: 8 << 10, StreamWindow: 1 << 20, SessionWindow: 16 << 20}
 	var sc *slowConn
@@ -238,8 +238,8 @@ func TestFlowCancelPriority(t *testing.T) {
 	go func() { bulkDone <- bst.Send(bulk) }()
 	time.Sleep(20 * time.Millisecond)
 
-	// The "cancel": a small frame on its own stream through the writeCh
-	// lane, exactly how core sends OpCancel on a session.
+	// The "cancel": a small frame on its own stream, written by its
+	// sender, exactly how core sends OpCancel on a session.
 	cst, err := client.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -259,14 +259,18 @@ func TestFlowCancelPriority(t *testing.T) {
 		t.Fatalf("bulk send: %v", err)
 	}
 
-	// The wire log must show the small frame strictly before the final
-	// bulk chunk: find it and check chunks follow.
+	// The wire log must start with the two hellos, and show the small
+	// frame strictly before the final bulk chunk: find it and check
+	// chunks follow.
 	sc.mu.Lock()
 	log := append([]int(nil), sc.log...)
 	sc.mu.Unlock()
+	if len(log) < 3 || log[0] >= 100 || log[1] >= 100 || log[2] < 4<<10 {
+		t.Fatalf("wire does not open with the two hellos then bulk: %v", log[:min(len(log), 4)])
+	}
 	small := -1
 	for i, n := range log {
-		if n < 100 && i > 0 { // skip hello; chunks are ~8KB
+		if n < 100 && i > 1 { // skip the hellos; chunks are ~8KB
 			small = i
 			break
 		}

@@ -78,13 +78,12 @@ func (tl *tcpListener) Endpoint() string {
 	return wire.JoinEndpoint("tcp", tl.l.Addr().String())
 }
 
-// tcpConn adapts a net.Conn to the framed Conn interface. Writes go
-// through a buffered writer flushed per frame; small frames therefore cost
-// one syscall.
+// tcpConn adapts a net.Conn to the framed Conn interface. Each frame is
+// assembled with its length prefix in a pooled buffer and written with
+// one Write, so a small frame costs one syscall.
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
@@ -95,15 +94,27 @@ func newTCPConn(c net.Conn) *tcpConn {
 	return &tcpConn{
 		c:  c,
 		br: bufio.NewReaderSize(c, 32<<10),
-		bw: bufio.NewWriterSize(c, 32<<10),
 	}
 }
 
+// Send writes one frame. A write whose deadline expired before its first
+// byte left leaves the byte stream intact and says so with errUnsent; any
+// other failure may have cut a frame short.
 func (tc *tcpConn) Send(payload []byte) error {
-	if err := wire.WriteFrame(tc.bw, payload); err != nil {
-		return mapNetErr(err)
+	bp := wire.GetBuf()
+	buf, err := wire.AppendFrame((*bp)[:0], payload)
+	if err != nil {
+		wire.PutBuf(bp)
+		return err
 	}
-	return mapNetErr(tc.bw.Flush())
+	*bp = buf
+	n, err := tc.c.Write(buf)
+	wire.PutBuf(bp)
+	err = mapNetErr(err)
+	if n == 0 && errors.Is(err, ErrTimeout) {
+		return errors.Join(errUnsent, err)
+	}
+	return err
 }
 
 func (tc *tcpConn) Recv(scratch []byte) ([]byte, error) {
@@ -112,6 +123,8 @@ func (tc *tcpConn) Recv(scratch []byte) ([]byte, error) {
 }
 
 func (tc *tcpConn) SetDeadline(t time.Time) error { return tc.c.SetDeadline(t) }
+
+func (tc *tcpConn) SetWriteDeadline(t time.Time) error { return tc.c.SetWriteDeadline(t) }
 
 func (tc *tcpConn) Close() error { return tc.c.Close() }
 

@@ -40,6 +40,11 @@ var (
 	ErrNoEndpoint = errors.New("transport: no dialable endpoint")
 )
 
+// errUnsent marks a Send whose deadline expired before any byte of its
+// frame reached the connection. The byte stream is intact, so a session
+// need not fail for it.
+var errUnsent = errors.New("transport: frame not sent")
+
 // Conn is a framed, synchronous message connection. A Conn is not safe for
 // concurrent use; the runtime wraps each peer link's connection in a
 // Session whose writer and reader serialize access.
@@ -79,6 +84,18 @@ type Transport interface {
 	Listen(addr string) (Listener, error)
 	// Dial connects to a transport-specific address.
 	Dial(addr string) (Conn, error)
+}
+
+// writeDeadliner is implemented by connections whose writes can be
+// bounded separately from their reads (TCP). A session writes from many
+// goroutines while its reader waits without a bound, so it bounds each
+// write by the writing stream's deadline through this method; on other
+// connections a write to a peer that stopped reading is bounded only by
+// the connection itself.
+type writeDeadliner interface {
+	// SetWriteDeadline bounds subsequent Sends; the zero time removes the
+	// bound.
+	SetWriteDeadline(t time.Time) error
 }
 
 // HealthChecker is optionally implemented by connections that can
