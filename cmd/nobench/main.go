@@ -583,83 +583,6 @@ func runT5() error {
 	for _, r := range prows {
 		fmt.Printf("  %-16s %9d %18d\n", r.Protocol, r.Messages, r.OwnerRoundTrips)
 	}
-	return runT5Live()
-}
-
-// runT5Live measures the FIFO variant in the runtime itself: a call whose
-// argument is a fresh third-party reference, on a transport with injected
-// latency, so the dirty round trip is visible. The classic variant pays
-// it before the method; the FIFO variant overlaps it with execution.
-func runT5Live() error {
-	fmt.Println("\nT5 (live runtime): third-party call with a 10ms method body,")
-	fmt.Println("3ms injected per message leg; the argument is a fresh reference the")
-	fmt.Println("receiver must register with a third space")
-	n := iters(30)
-	for _, variant := range []netobjects.CollectorVariant{netobjects.VariantBirrell, netobjects.VariantFIFO} {
-		mem := netobjects.NewMem()
-		mem.Latency = 3 * time.Millisecond
-		var spaces []*netobjects.Space
-		mk := func(name string) (*netobjects.Space, error) {
-			opts := netobjects.Options{
-				Name:         name,
-				Transports:   []netobjects.Transport{mem},
-				PingInterval: time.Hour,
-				Variant:      variant,
-			}
-			withObs(&opts)
-			sp, err := netobjects.New(opts)
-			if err == nil {
-				spaces = append(spaces, sp)
-			}
-			return sp, err
-		}
-		a, err := mk("A")
-		if err != nil {
-			return err
-		}
-		b, err := mk("B")
-		if err != nil {
-			return err
-		}
-		c, err := mk("C")
-		if err != nil {
-			return err
-		}
-		relay, err := b.Export(&benchService{})
-		if err != nil {
-			return err
-		}
-		w, _ := relay.WireRep()
-		relayAtA, err := a.Import(w)
-		if err != nil {
-			return err
-		}
-		med, err := measure(n, func() error {
-			obj := &benchService{}
-			ref, err := c.Export(obj)
-			if err != nil {
-				return err
-			}
-			cw, err := ref.WireRep()
-			if err != nil {
-				return err
-			}
-			refAtA, err := a.Import(cw)
-			if err != nil {
-				return err
-			}
-			_, err = relayAtA.Call("TakeRefSlow", refAtA)
-			return err
-		})
-		for i := len(spaces) - 1; i >= 0; i-- {
-			_ = spaces[i].Close()
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-8s median call latency: %v\n", variant, med)
-	}
-	fmt.Println("shape check: fifo should save roughly one dirty round trip per fresh reference.")
 	return nil
 }
 
@@ -809,20 +732,18 @@ func runT6() error {
 
 // runE1 measures concurrent-caller fan-out over loopback TCP: a client
 // that just reached a peer sprays N goroutines × K calls at it (a burst)
-// on the shared multiplexed session, comparing the session writer with
-// batching off against a small BatchWindow (Options.BatchWindow), which
-// lets the writer coalesce bursts of small call frames into one batch
-// frame. Each burst starts from a fresh client so connection
+// on the shared multiplexed session. Each burst starts from a fresh
+// client so connection
 // establishment is part of the work; "dials" counts the connections the
 // client opened per burst (pool misses, including the one the import's
 // dirty call makes) and should stay at ~1 per peer regardless of fan-out.
 //
-// (The checkout-vs-mux A/B this experiment originally ran is retired with
-// the checkout discipline itself; its final numbers are frozen in
-// EXPERIMENTS.md.)
+// (The checkout-vs-mux and writer-batching A/Bs this experiment once ran
+// are retired with the checkout discipline and the batching writer; their
+// final numbers are frozen in EXPERIMENTS.md.)
 func runE1() error {
 	fmt.Println("E1: concurrent-caller fan-out over loopback TCP (burst of 8 calls/caller)")
-	const burst = 8 // calls per caller per burst; bursty enough to coalesce
+	const burst = 8 // calls per caller per burst
 	rounds := iters(30)
 	payload1k := bytes.Repeat([]byte{'x'}, 1024)
 	type shape struct {
@@ -835,14 +756,13 @@ func runE1() error {
 	}
 	fanouts := []int{1, 8, 64}
 
-	runCell := func(batchWindow time.Duration, s shape, n int) (rate float64, mean time.Duration, dials float64, err error) {
+	runCell := func(s shape, n int) (rate float64, mean time.Duration, dials float64, err error) {
 		tr := netobjects.NewTCP()
 		mk := func(name string, m *netobjects.Metrics) (*netobjects.Space, error) {
 			return netobjects.New(netobjects.Options{
 				Name:         name,
 				Transports:   []netobjects.Transport{tr},
 				PingInterval: time.Hour,
-				BatchWindow:  batchWindow,
 				Metrics:      m,
 			})
 		}
@@ -913,40 +833,17 @@ func runE1() error {
 		return rate, mean, float64(dialSum) / float64(len(samples)), nil
 	}
 
-	fmt.Printf("%-10s %-10s %8s %14s %12s %8s\n",
-		"batching", "payload", "callers", "calls/sec", "mean lat", "dials")
-	at64 := map[string][2]float64{} // shape name -> [off, on] rate at 64 callers
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{{"off", 0}, {"100µs", 100 * time.Microsecond}} {
-		for _, s := range shapes {
-			for _, n := range fanouts {
-				rate, mean, dials, err := runCell(mode.window, s, n)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("%-10s %-10s %8d %14.0f %12s %8.0f\n",
-					mode.name, s.name, n, rate, mean.Round(time.Microsecond), dials)
-				if n == 64 {
-					v := at64[s.name]
-					if mode.window == 0 {
-						v[0] = rate
-					} else {
-						v[1] = rate
-					}
-					at64[s.name] = v
-				}
-			}
-		}
-	}
+	fmt.Printf("%-10s %8s %14s %12s %8s\n", "payload", "callers", "calls/sec", "mean lat", "dials")
 	for _, s := range shapes {
-		if v := at64[s.name]; v[0] > 0 {
-			fmt.Printf("64-caller batching effect (%s): window on is %.2fx window off\n", s.name, v[1]/v[0])
+		for _, n := range fanouts {
+			rate, mean, dials, err := runCell(s, n)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-10s %8d %14.0f %12s %8.0f\n", s.name, n, rate, mean.Round(time.Microsecond), dials)
 		}
 	}
-	fmt.Println("shape check: dials stay at ~1 per peer at every fan-out; batching should help")
-	fmt.Println("(or at worst not hurt) high fan-out small-call bursts, and never help 1 caller.")
+	fmt.Println("shape check: dials stay at ~1 per peer at every fan-out.")
 	return nil
 }
 
@@ -992,13 +889,12 @@ func runChaos(profile, trans string, seed uint64, spaces, ops int) error {
 
 // runE2 measures head-of-line blocking on a multiplexed session: 64
 // concurrent null callers share one loopback-TCP link with a single 8MB
-// argument in flight. With flow control (the default) the bulk argument
-// travels as credit-gated chunks and the writer's priority lane lets the
-// small calls overtake between chunks; with DisableFlow the 8MB argument
-// is one frame and every null call queued behind it waits the whole
-// write out. Each cell runs the null storm for the lifetime of one bulk
-// call (the baseline for a matching fixed window with no bulk at all);
-// the acceptance bound is flow-on p99 within 3x of the no-bulk baseline.
+// argument in flight. Flow control sends the bulk argument as
+// credit-gated chunks, and the writer's priority lane lets the small
+// calls overtake between chunks. Each cell runs the null storm for the
+// lifetime of one bulk call (the baseline for a matching fixed window
+// with no bulk at all); the acceptance bound is flow-on p99 within 3x of
+// the no-bulk baseline.
 // "stalls" is the client's writer-stall count (data queued, credit
 // exhausted) from netobj_flow_writer_stalls_total.
 func runE2() error {
@@ -1018,7 +914,7 @@ func runE2() error {
 	if *quick {
 		window = 500 * time.Millisecond
 	}
-	runCell := func(disableFlow, withBulk, ownLink bool) (cell, error) {
+	runCell := func(withBulk, ownLink bool) (cell, error) {
 		tr := netobjects.NewTCP()
 		cm := netobjects.NewMetrics()
 		mk := func(name string, m *netobjects.Metrics) (*netobjects.Space, error) {
@@ -1026,7 +922,6 @@ func runE2() error {
 				Name:         name,
 				Transports:   []netobjects.Transport{tr},
 				PingInterval: time.Hour,
-				DisableFlow:  disableFlow,
 				Metrics:      m,
 			})
 		}
@@ -1135,17 +1030,15 @@ func runE2() error {
 	fmt.Printf("%-18s %12s %12s %8s %12s %8s\n", "mode", "null p50", "null p99", "nulls", "8MB time", "stalls")
 	var base, ctl, on cell
 	for _, m := range []struct {
-		name        string
-		disableFlow bool
-		withBulk    bool
-		ownLink     bool
+		name     string
+		withBulk bool
+		ownLink  bool
 	}{
-		{"no-bulk baseline", false, false, false},
-		{"bulk on own link", false, true, true},
-		{"flow on + bulk", false, true, false},
-		{"flow off + bulk", true, true, false},
+		{"no-bulk baseline", false, false},
+		{"bulk on own link", true, true},
+		{"flow on + bulk", true, false},
 	} {
-		c, err := runCell(m.disableFlow, m.withBulk, m.ownLink)
+		c, err := runCell(m.withBulk, m.ownLink)
 		if err != nil {
 			return err
 		}
@@ -1169,7 +1062,7 @@ func runE2() error {
 	fmt.Printf("flow-on p99 is %.1fx the own-link control (the shared-session penalty flow control is answerable for;\n"+
 		"the rest of the tail is the 8MB call's compute churn, which hits every goroutine on a small CPU count)\n",
 		float64(on.p99)/float64(ctl.p99))
-	fmt.Println("shape check: flow-off p99 absorbs the whole 8MB wire time; flow-on p99 tracks the own-link control.")
+	fmt.Println("shape check: flow-on p99 tracks the own-link control.")
 	return nil
 }
 

@@ -49,8 +49,8 @@ type Rules struct {
 	// Reorder is the probability that a message is held back for a
 	// random slice of ReorderWindow, letting traffic on other
 	// connections overtake it. Same-connection ordering is preserved —
-	// connections are lock-step — matching a network that reorders
-	// across flows.
+	// the hold-back delays the write itself — matching a network that
+	// reorders across flows.
 	Reorder float64
 	// ReorderWindow bounds the reorder hold-back (default 20ms).
 	ReorderWindow time.Duration

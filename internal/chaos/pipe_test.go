@@ -21,7 +21,6 @@ import (
 // promise id with stale results.
 func TestPipeOpsClassified(t *testing.T) {
 	frames := map[wire.Op][]byte{
-		wire.OpPipeHello:      wire.Marshal(nil, &wire.PipeHello{Caps: wire.CapPipeline}),
 		wire.OpPipeCall:       wire.Marshal(nil, &wire.PipeCall{Obj: 1, Method: "M", Promise: 2}),
 		wire.OpPromiseResolve: wire.Marshal(nil, &wire.PromiseResolve{Promise: 2, Status: wire.StatusOK}),
 		wire.OpOneWay:         wire.Marshal(nil, &wire.OneWay{Obj: 1, Method: "Log", Seq: 3}),
@@ -44,16 +43,6 @@ func TestPipeOpsClassified(t *testing.T) {
 		if duplicable(op) {
 			t.Fatalf("%v is duplicable; pipelined ops must never be replayed", op)
 		}
-	}
-	// A batch frame travels naked at the session's top level and
-	// classifies as itself; it is never replayable either.
-	batch := wire.AppendBatchFrame(wire.AppendBatchHeader(nil),
-		append(wire.AppendMuxHeader(nil, 7), frames[wire.OpOneWay]...))
-	if got := wire.PeekOp(batch); got != wire.OpBatch {
-		t.Fatalf("batch frame classifies as %v", got)
-	}
-	if duplicable(wire.OpBatch) {
-		t.Fatal("OpBatch is duplicable")
 	}
 }
 

@@ -358,8 +358,7 @@ func (t *Transport) emitFault(kind string, op wire.Op, addr string) {
 // fault exists to test. The pipelined invocation ops are likewise
 // excluded: a replayed PipeCall or OneWay would re-run an application
 // method, a replayed PromiseResolve could resolve a reused promise id
-// with stale results, and a replayed PipeHello or Batch belongs to a
-// session handshake or framing layer that is never retried.
+// with stale results.
 func duplicable(op wire.Op) bool {
 	switch op {
 	case wire.OpDirty, wire.OpClean, wire.OpCleanBatch, wire.OpPing, wire.OpLease:

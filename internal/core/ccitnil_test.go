@@ -200,3 +200,42 @@ func TestRefWireRepStableWhileLive(t *testing.T) {
 		t.Fatal("zero wireRep imported")
 	}
 }
+
+// TestHandOutImportReleaseCycle hammers the hand-out path: each cycle
+// hands a fresh wireRep out of band, imports it, calls through it and
+// releases it. Release sends its clean asynchronously, so that clean can
+// still be in flight when the next cycle's WireRep hands the object out
+// again; the owner's hand-out reprieve (handOutGrace) must keep the entry
+// alive until the importer's dirty call lands. Every call must succeed
+// and the tables must end empty.
+func TestHandOutImportReleaseCycle(t *testing.T) {
+	tn := newTestNet(t)
+	owner := tn.space("owner", nil)
+	client := tn.space("client", nil)
+	cnt := &counter{}
+	ref, _ := owner.Export(cnt)
+
+	for i := 0; i < 200; i++ {
+		w, err := ref.WireRep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := client.Import(w)
+		if err != nil {
+			t.Fatalf("iter %d: %v", i, err)
+		}
+		if _, err := r.Call("Incr", int64(1)); err != nil {
+			t.Fatalf("iter %d: %v", i, err)
+		}
+		r.Release()
+	}
+	if !waitFor(5*time.Second, func() bool {
+		return client.Imports().Len() == 0 && owner.Exports().Len() == 0
+	}) {
+		t.Fatalf("leftover state: imports=%d exports=%d",
+			client.Imports().Len(), owner.Exports().Len())
+	}
+	if cnt.n != 200 {
+		t.Fatalf("n=%d", cnt.n)
+	}
+}

@@ -120,11 +120,6 @@ func (sp *Space) doSendDirty(key wire.Key, endpoints []string, seq uint64) error
 		Seq:             seq,
 		Owner:           key.Owner,
 	}
-	if sp.opts.Variant == VariantFIFO {
-		// All collector traffic to one owner flows through its ordered
-		// queue so cleans can never overtake dirties.
-		return sp.gcQueueFor(key.Owner, endpoints).enqueue(req, endpoints).wait()
-	}
 	resp, err := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
 	if err != nil {
 		return err
@@ -156,9 +151,6 @@ func (sp *Space) sendClean(key wire.Key, endpoints []string, seq uint64, strong 
 
 func (sp *Space) doSendClean(key wire.Key, endpoints []string, seq uint64, strong bool) error {
 	req := &wire.Clean{Obj: key.Index, Client: sp.id, Seq: seq, Strong: strong, Owner: key.Owner}
-	if sp.opts.Variant == VariantFIFO {
-		return sp.gcQueueFor(key.Owner, endpoints).enqueue(req, endpoints).wait()
-	}
 	resp, err := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
 	if err != nil {
 		return err
@@ -170,8 +162,7 @@ func (sp *Space) doSendClean(key wire.Key, endpoints []string, seq uint64, stron
 }
 
 // sendCleanBatch delivers several clean calls to one owner in a single
-// exchange. The FIFO variant routes it through the owner's ordered queue
-// like any other collector message.
+// exchange.
 func (sp *Space) sendCleanBatch(owner wire.SpaceID, endpoints []string, items []dgc.CleanItem) error {
 	sp.metrics.CleanSent.Add(uint64(len(items)))
 	sp.metrics.CleanBatches.Inc()
@@ -185,12 +176,7 @@ func (sp *Space) sendCleanBatch(owner wire.SpaceID, endpoints []string, items []
 		req.Seqs = append(req.Seqs, it.Seq)
 		req.Strongs = append(req.Strongs, it.Strong)
 	}
-	var resp wire.Message
-	var err error
-	if sp.opts.Variant == VariantFIFO {
-		return sp.gcQueueFor(owner, endpoints).enqueue(req, endpoints).wait()
-	}
-	resp, err = sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
+	resp, err := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
 	if err != nil {
 		return err
 	}
@@ -363,44 +349,39 @@ func (d *typedDecoder) decode(res *wire.Result) error {
 	}
 }
 
-// exchange runs the lock-step call exchange on the stream: send the call,
+// exchange runs one call exchange on the stream: send the call,
 // receive the result, let decode consume it, and acknowledge returned
 // references when the owner asks (Result.NeedAck). The call frame is
 // assembled in a pooled buffer (Stream.Send copies it into its own
 // envelope buffer, so recycling after Send is safe), and the result is
 // decoded into a pooled frame.
-func (sp *Space) exchange(c transport.Conn, call *wire.Call, session *callSession, decode resultDecoder) (connOK bool, err error) {
+func (sp *Space) exchange(c transport.Conn, call *wire.Call, session *callSession, decode resultDecoder) error {
 	bp := wire.GetBuf()
 	out := wire.Marshal((*bp)[:0], call)
-	err = c.Send(out)
+	err := c.Send(out)
 	n := len(out)
 	*bp = out
 	wire.PutBuf(bp)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sp.metrics.BytesSent.Add(uint64(n))
 	b, err := c.Recv(nil)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sp.metrics.BytesRecv.Add(uint64(len(b)))
 	if op := wire.PeekOp(b); op != wire.OpResult {
-		return false, fmt.Errorf("netobjects: call answered with %v", op)
+		return fmt.Errorf("netobjects: call answered with %v", op)
 	}
 	res := resultPool.Get().(*wire.Result)
 	// res.Results aliases the receive buffer; zeroing on the way back to
 	// the pool (putResult) drops the alias before the buffer is recycled.
 	defer putResult(res)
 	if err := wire.UnmarshalInto(b, res); err != nil {
-		return false, err
+		return err
 	}
 	decodeErr := decode.decode(res)
-	// Under the FIFO variant decoding may have queued registrations whose
-	// dirty calls are still in flight; the result acknowledgement asserts
-	// they are registered, so wait here (overlapped with nothing on the
-	// client, but the server overlapped them with its method execution).
-	session.waitPending()
 	if res.NeedAck {
 		// The owner holds the returned references transiently dirty until
 		// this ack; send it even when decoding failed, because our dirty
@@ -414,11 +395,11 @@ func (sp *Space) exchange(c transport.Conn, call *wire.Call, session *callSessio
 		*abp = ack
 		wire.PutBuf(abp)
 		if err != nil {
-			return false, decodeErr
+			return decodeErr
 		}
 		sp.metrics.BytesSent.Add(uint64(an))
 	}
-	return true, decodeErr
+	return decodeErr
 }
 
 // callRemote performs one remote invocation exchange under ctx. The
@@ -524,7 +505,7 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 			}
 		}()
 	}
-	_, err = sp.exchange(st, call, session, decode)
+	err = sp.exchange(st, call, session, decode)
 	cancelled := false
 	if w != nil {
 		cancelled = w.finish()

@@ -158,39 +158,11 @@ type Options struct {
 	// live objects under many concurrent callers, more shards mean less
 	// lock contention on the call fast path.
 	TableShards int
-	// DisableFlow turns off credit-based flow control, chunked
-	// large-payload streaming and session keepalives on mux links (see
-	// internal/flow). With flow on — the default — payloads larger than
-	// the chunk size stream as bounded chunks interleaved fairly across
-	// streams, cancels and collector RPCs jump queued data in a priority
-	// lane, and keepalives detect dead peers between calls. Flow sessions
-	// interoperate with DisableFlow (and pre-flow) peers automatically:
-	// capability is advertised per session and large frames fall back to
-	// single unchunked writes against a legacy peer.
-	DisableFlow bool
-	// KeepaliveInterval paces session keepalive probes on flow-enabled
-	// mux links; a peer silent for two intervals fails the session.
-	// Zero selects the default (10s); negative disables keepalives,
-	// restoring the per-call connection health probe. Ignored when
-	// DisableFlow is set.
+	// KeepaliveInterval paces session keepalive probes on peer sessions;
+	// a peer silent for two intervals fails the session. Zero selects the
+	// default (10s); negative disables keepalives, restoring the per-call
+	// connection health probe.
 	KeepaliveInterval time.Duration
-	// DisablePipeline turns off promise pipelining, one-way delivery and
-	// call batching for this space: it stops advertising the capability on
-	// its sessions (so peers fall back too) and routes its own PipeCall /
-	// OneWay traffic through sequential round trips. Pipelining also
-	// requires flow-enabled sessions, so DisableFlow implies it.
-	DisablePipeline bool
-	// BatchWindow, when positive, lets session writers coalesce bursts of
-	// small call frames into one batch frame, holding the first frame of a
-	// burst up to this long for companions (see transport.SessionOptions).
-	// Zero disables batching; capability is negotiated per session either
-	// way.
-	BatchWindow time.Duration
-	// Variant selects the collector protocol variant: VariantBirrell
-	// (default, correct over unordered channels) or VariantFIFO (the
-	// paper's §5.1 optimisation: per-owner ordered collector traffic and
-	// non-blocking registration of received references).
-	Variant CollectorVariant
 	// AutoRelease holds surrogates weakly and schedules their clean calls
 	// when the application lets go of them — the paper's weak-reference
 	// design. Without it, surrogates live until Release is called
@@ -253,7 +225,6 @@ type Space struct {
 	mu        sync.Mutex
 	ownedRefs map[any]*Ref
 	remote    map[string]*remoteIface // by interface type name
-	gcQueues  map[wire.SpaceID]*gcQueue
 	// muxServers tracks the inbound multiplexed sessions being served,
 	// for the per-link gauges and the debug page.
 	muxServers map[*transport.Session]struct{}
@@ -312,7 +283,6 @@ func NewSpace(opts Options) (*Space, error) {
 		opts:       opts,
 		ownedRefs:  make(map[any]*Ref),
 		remote:     make(map[string]*remoteIface),
-		gcQueues:   make(map[wire.SpaceID]*gcQueue),
 		muxServers: make(map[*transport.Session]struct{}),
 		pipeOut:    make(map[*transport.Session]*promise.Table),
 		pipeIn:     make(map[*transport.Session]*pipeInbound),
@@ -365,7 +335,6 @@ func NewSpace(opts Options) (*Space, error) {
 	sp.pool = transport.NewPool(sp.treg)
 	sp.pool.SetObserver(sp.metrics, sp.tracer)
 	sp.pool.SetFlow(sp.flowParams())
-	sp.pool.SetPipeline(opts.DisablePipeline, opts.BatchWindow)
 	sp.pool.SetLocalSpace(sp.id)
 	sp.pool.SetOnKeepalive(sp.keepaliveRenewed)
 
@@ -579,7 +548,6 @@ func (sp *Space) debugSnapshot() obs.DebugData {
 		Name:      sp.opts.Name,
 		ID:        sp.id.String(),
 		Liveness:  sp.opts.Liveness.String(),
-		Variant:   sp.opts.Variant.String(),
 		Endpoints: sp.Endpoints(),
 		Exports:   sp.exports.Snapshot(),
 		Imports:   sp.imports.Snapshot(),
@@ -619,10 +587,9 @@ func (sp *Space) muxSessionsSnapshot() []obs.SessionInfo {
 			Endpoint:    s.Label(),
 			Dir:         "in",
 			InFlight:    st.InFlight,
-			QueueDepth:  st.QueueDepth,
 			BytesSent:   st.BytesSent,
 			BytesRecv:   st.BytesRecv,
-			Flow:        obs.FlowLabel(st.FlowEnabled, st.PeerFlow),
+			Flow:        obs.FlowLabel(st.PeerFlow),
 			SendWindow:  st.SendWindow,
 			QueuedBytes: st.FlowQueued,
 			Stalls:      st.FlowStalls,
@@ -633,11 +600,8 @@ func (sp *Space) muxSessionsSnapshot() []obs.SessionInfo {
 }
 
 // flowParams resolves the flow-control parameters mux sessions (outbound
-// and inbound) are created with, nil when DisableFlow is set.
+// and inbound) are created with.
 func (sp *Space) flowParams() *flow.Params {
-	if sp.opts.DisableFlow {
-		return nil
-	}
 	return &flow.Params{KeepaliveInterval: sp.opts.KeepaliveInterval}
 }
 
@@ -707,7 +671,6 @@ func (sp *Space) shutdown(graceful bool) error {
 	if sp.renewer != nil {
 		sp.renewer.Close()
 	}
-	sp.closeGCQueues()
 	sp.pool.Close()
 	sp.wg.Wait()
 	sp.log.Debug("space closed", "graceful", graceful)

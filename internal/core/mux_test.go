@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netobjects/internal/pickle"
 	"netobjects/internal/transport"
+	"netobjects/internal/wire"
 )
 
 // tcpPair builds an owner/client pair connected over real loopback TCP.
@@ -148,5 +151,57 @@ func TestMuxCancelSharedLink(t *testing.T) {
 	}
 	if n := client.metrics.PoolMisses.Load(); n != 1 {
 		t.Fatalf("client dials = %d, want 1 (cancel must not redial)", n)
+	}
+}
+
+// TestBareCallClosesConnection pins the one wire protocol: every peer
+// opens its connection with a mux-wrapped session hello, so a space
+// closes a connection whose first frame is a bare (non-mux) call. The
+// call is not dispatched, and no goroutine is left serving the link.
+func TestBareCallClosesConnection(t *testing.T) {
+	tn := newTestNet(t)
+	owner := tn.space("owner", nil)
+	cnt := &counter{}
+	ref, err := owner.Export(cnt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ref.WireRep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, err := owner.pickler.MarshalAnySession(nil, []any{int64(1)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	c, err := tn.mem.Dial(strings.TrimPrefix(w.Endpoints[0], "inmem:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := c.Send(wire.Marshal(nil, &wire.Call{Obj: w.Index, Method: "Incr", Args: args, ID: 1})); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := c.Recv(nil)
+	if err == nil {
+		t.Fatalf("space answered a bare call with a %v frame", wire.PeekOp(frame))
+	}
+	if errors.Is(err, transport.ErrTimeout) {
+		t.Fatal("space neither answered nor closed the connection")
+	}
+	_ = c.Close()
+	cnt.mu.Lock()
+	n := cnt.n
+	cnt.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("bare call ran the method: counter = %d", n)
+	}
+	if got := owner.metrics.CallsServed.Load(); got != 0 {
+		t.Fatalf("CallsServed = %d, want 0", got)
+	}
+	if !waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Fatalf("goroutines: %d before the bare call, %d after its connection closed", before, runtime.NumGoroutine())
 	}
 }

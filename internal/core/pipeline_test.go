@@ -346,54 +346,29 @@ func TestOneWayThenTwoWayOrdering(t *testing.T) {
 	}
 }
 
-func TestPipeFallbackLegacyPeer(t *testing.T) {
-	// The owner runs with pipelining disabled (a stand-in for a legacy
-	// build): the client's pipelined API degrades to sequential round
-	// trips with identical results.
+func TestPipeChainOnLocalPromise(t *testing.T) {
+	// A promise resolved in the caller's own space has no session, so a
+	// call chained on it awaits it and goes out as an ordinary call.
 	tn := newTestNet(t)
-	owner := tn.space("owner", func(o *Options) { o.DisablePipeline = true })
-	client := tn.space("client", nil)
-
-	ref, _ := owner.Export(&counter{})
-	cref := handoff(t, ref, client)
-
+	owner := tn.space("owner", nil)
+	tail, err := owner.Export(&chainNode{name: "tail"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := owner.Export(&chainNode{name: "head", next: tail})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	vals, err := cref.PipeCall(ctx, "Incr", int64(3)).Await(ctx)
+	vals, err := head.PipeCall(ctx, "Next").PipeCall(ctx, "Name").Await(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[0].(int64) != 3 {
-		t.Fatalf("fallback pipelined call = %v", vals)
+	if vals[0].(string) != "tail" {
+		t.Fatalf("chain on a local promise resolved to %v", vals)
 	}
-	if got := client.metrics.PipelineFallbacks.Load(); got == 0 {
-		t.Fatal("fallback not counted")
-	}
-
-	// Chains degrade too: the parent is awaited, then the child called.
-	const k = 3
-	root := buildChain(t, owner, client, k)
-	p := root.PipeCall(ctx, "Next")
-	for i := 1; i < k; i++ {
-		p = p.PipeCall(ctx, "Next")
-	}
-	nv, err := p.PipeCall(ctx, "Name").Await(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nv[0].(string) != fmt.Sprintf("node%d", k) {
-		t.Fatalf("fallback chain resolved to %v", nv)
-	}
-
-	// One-way degrades to a discarded ordinary call.
-	if err := cref.OneWay("Incr", int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cref.Call("Value")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].(int64) != 4 {
-		t.Fatalf("counter after fallback one-way = %v", got)
+	if got := owner.metrics.PipelineFallbacks.Load(); got != 1 {
+		t.Fatalf("fallbacks = %d, want 1", got)
 	}
 }
 

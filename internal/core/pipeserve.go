@@ -118,7 +118,6 @@ func (sp *Space) handlePipeCall(st *transport.Stream, call *wire.PipeCall) {
 		sp.tracer.Emit(obs.Event{Kind: obs.EvCallDone, Time: time.Now(),
 			CallID: call.ID, Method: call.Method, Dur: time.Since(start), Err: res.Err})
 	}
-	session.waitPending()
 	if err := sp.sendReply(st, res); err != nil {
 		session.unpinAll()
 		return
@@ -402,7 +401,6 @@ func (sp *Space) handleOneWay(st *transport.Stream, m *wire.OneWay) {
 	}
 	session := sp.getCallSession()
 	defer func() {
-		session.waitPending()
 		session.unpinAll()
 		session.recycle()
 	}()
@@ -443,9 +441,6 @@ func (sp *Space) handleOneWay(st *transport.Stream, m *wire.OneWay) {
 		sp.log.Debug("one-way call arguments undecodable", "method", m.Method, "err", err)
 		return
 	}
-	// Registration futures for received references settle before the
-	// invoke, mirroring the ordinary call path's pre-reply wait.
-	session.waitPending()
 	if ctx.Err() != nil {
 		return
 	}

@@ -62,18 +62,19 @@ func (sp *Space) acceptLoop(l transport.Listener) {
 	}
 }
 
-// serveConn handles one inbound connection. It starts in the legacy
-// lock-step mode — one request/response exchange at a time — and switches
-// the connection permanently into multiplexed session mode on the first
-// frame carrying a mux envelope. The envelope is self-identifying, so no
-// handshake or version negotiation is needed and pre-mux peers keep
-// working. Inbound connections are watched so Close can unblock their
-// reads.
+// serveConn handles one inbound connection. Every peer opens its session
+// with a mux-wrapped hello, so a connection whose first frame is not
+// mux-wrapped is closed unread; otherwise the connection becomes a
+// multiplexed session: every stream the peer opens is dispatched
+// concurrently by serveStream, and responses leave in completion order —
+// a slow method does not block the collector traffic or faster calls
+// sharing the link. It returns once the session dies and every dispatch
+// has finished.
 func (sp *Space) serveConn(c transport.Conn) {
 	defer sp.wg.Done()
-	defer c.Close()
 
-	// Unblock the read when the space closes.
+	// Close the connection when the space closes, which unblocks the
+	// first read here and later fails the session.
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -83,92 +84,18 @@ func (sp *Space) serveConn(c transport.Conn) {
 		case <-stop:
 		}
 	}()
-
-	var buf []byte
-	for {
-		frame, err := c.Recv(buf)
-		if err != nil {
-			return
-		}
-		buf = frame
-		if wire.IsMux(frame) {
-			// The peer runs sessions on this connection; hand it over.
-			// serveMux blocks until the session dies, keeping the
-			// close-watcher above on duty for the whole session life.
-			sp.serveMux(c, frame)
-			return
-		}
-		sp.metrics.BytesRecv.Add(uint64(len(frame)))
-		if wire.PeekOp(frame) == wire.OpCall {
-			// The hot path decodes into a pooled frame instead of letting
-			// Unmarshal allocate a fresh one per call.
-			call := callPool.Get().(*wire.Call)
-			err := wire.UnmarshalInto(frame, call)
-			if err != nil {
-				sp.log.Debug("protocol error on inbound connection", "peer", c.RemoteLabel(), "err", err)
-				putCall(call)
-				return
-			}
-			ok := sp.handleCall(c, call)
-			putCall(call)
-			if !ok {
-				return
-			}
-			continue
-		}
-		msg, err := wire.Unmarshal(frame)
-		if err != nil {
-			sp.log.Debug("protocol error on inbound connection", "peer", c.RemoteLabel(), "err", err)
-			return
-		}
-		var reply wire.Message
-		switch m := msg.(type) {
-		case *wire.Dirty:
-			reply = sp.handleDirty(m)
-		case *wire.Clean:
-			reply = sp.handleClean(m)
-		case *wire.CleanBatch:
-			reply = sp.handleCleanBatch(m)
-		case *wire.Ping:
-			sp.metrics.PingsServed.Inc()
-			if sp.tracer != nil {
-				sp.tracer.Emit(obs.Event{Kind: obs.EvPingRecv, Time: time.Now(), Peer: m.From.String()})
-			}
-			reply = &wire.PingAck{From: sp.id}
-		case *wire.Lease:
-			reply = sp.handleLease(m)
-		case *wire.CycleQuery:
-			reply = sp.handleCycleQuery(m)
-		case *wire.CycleCollect:
-			reply = sp.handleCycleCollect(m)
-		case *wire.CancelCall:
-			reply = sp.handleCancel(m)
-		default:
-			sp.log.Debug("unexpected message", "op", msg.Op().String(), "peer", c.RemoteLabel())
-			return
-		}
-		if err := sp.sendReply(c, reply); err != nil {
-			return
-		}
+	first, err := c.Recv(nil)
+	if err != nil || !wire.IsMux(first) {
+		_ = c.Close()
+		return
 	}
-}
-
-// serveMux runs one inbound connection as a multiplexed session: every
-// stream the peer opens is dispatched concurrently by serveStream, and
-// responses leave in completion order — a slow method no longer blocks
-// the collector traffic or faster calls sharing the link. It returns once
-// the session dies and every dispatch has finished.
-func (sp *Space) serveMux(c transport.Conn, first []byte) {
-	// The first frame aliases serveConn's receive buffer; copy it so the
-	// session owns its preread input outright.
-	preread := append([]byte(nil), first...)
+	// The first frame aliases the connection's receive buffer; copy it so
+	// the session owns its preread input outright.
 	s := transport.NewSession(c, transport.SessionOptions{
-		Preread:     preread,
+		Preread:     append([]byte(nil), first...),
 		Accept:      sp.serveStream,
 		Flow:        sp.flowParams(),
 		Metrics:     sp.metrics,
-		NoPipeline:  sp.opts.DisablePipeline,
-		BatchWindow: sp.opts.BatchWindow,
 		LocalSpace:  sp.id,
 		OnKeepalive: sp.keepaliveRenewed,
 	})
@@ -395,9 +322,8 @@ func (sp *Space) callContext(call *wire.Call) (context.Context, context.CancelFu
 
 // handleCall dispatches one remote invocation and sends its Result. When
 // the result carries network references it waits for the caller's
-// ResultAck before releasing the transient dirty entries. It reports
-// whether the connection is still usable.
-func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
+// ResultAck before releasing the transient dirty entries.
+func (sp *Space) handleCall(c transport.Conn, call *wire.Call) {
 	sp.metrics.CallsServed.Inc()
 	start := time.Now()
 	if sp.tracer != nil {
@@ -410,8 +336,8 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
 	res := resultPool.Get().(*wire.Result)
 	rbp := wire.GetBuf()
 	defer func() {
-		// By here every path has passed unpinAll (or never pinned) and
-		// waitPending, so the session holds nothing. The result's byte
+		// By here every path has passed unpinAll (or never pinned), so
+		// the session holds nothing. The result's byte
 		// payload goes back to the buffer pool it was encoded into.
 		if cap(res.Results) != 0 {
 			*rbp = res.Results[:0]
@@ -421,8 +347,8 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
 		session.recycle()
 	}()
 	if sp.isClosed() {
-		// Draining: refuse new work, but keep the connection usable so the
-		// peer's parting clean calls still flow.
+		// Draining: refuse new work; the peer's parting clean calls still
+		// flow on their own streams.
 		res.Status, res.Err = wire.StatusSpaceClosed, "space closing"
 	} else {
 		ctx, cancel := sp.callContext(call)
@@ -454,17 +380,12 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
 			CallID: call.ID, Method: call.Method, Dur: time.Since(start), Err: res.Err})
 	}
 
-	// Under the FIFO variant, argument decoding may have queued
-	// registrations that ran concurrently with the method; the reply
-	// asserts this space is registered for every reference it received,
-	// so settle them before answering.
-	session.waitPending()
 	if err := sp.sendReply(c, res); err != nil {
 		session.unpinAll()
-		return false
+		return
 	}
 	if !res.NeedAck {
-		return true
+		return
 	}
 	// Wait for the caller to confirm it has registered the returned
 	// references; bound the wait so a dead caller cannot pin the entries
@@ -472,16 +393,11 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
 	// made during unmarshaling, or were never created).
 	sp.metrics.ResultAcksWaited.Inc()
 	_ = c.SetDeadline(time.Now().Add(sp.opts.CallTimeout))
-	ok := false
 	if frame, err := c.Recv(nil); err == nil {
 		sp.metrics.BytesRecv.Add(uint64(len(frame)))
-		if msg, err := wire.Unmarshal(frame); err == nil {
-			_, ok = msg.(*wire.ResultAck)
-		}
 	}
 	_ = c.SetDeadline(time.Time{})
 	session.unpinAll()
-	return ok
 }
 
 // cancelResult renders an alerted or expired serving context into res.

@@ -33,7 +33,7 @@ type sendQ struct {
 	ringed bool // currently present in the round-robin ring
 }
 
-// Scheduler is the sender half of a flow-enabled session: it queues
+// Scheduler is the sender half of a session's flow control: it queues
 // large payloads per stream and deals them out as credit-gated, bounded
 // chunks, round-robin across streams so no payload monopolizes the
 // writer. The session's writer goroutine is the only consumer (Next /

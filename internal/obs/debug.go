@@ -15,8 +15,6 @@ type DebugData struct {
 	ID string
 	// Liveness names the client-liveness mode ("ping" or "lease").
 	Liveness string
-	// Variant names the collector protocol variant.
-	Variant string
 	// Endpoints are the endpoints the space listens on.
 	Endpoints []string
 	// Exports is the export table: one entry per concrete object this
@@ -79,20 +77,15 @@ type SessionInfo struct {
 	Dir string
 	// InFlight is the number of exchanges awaiting their response.
 	InFlight int
-	// QueueDepth is the number of frames waiting in the writer's batching
-	// queue.
-	QueueDepth int
 	// BytesSent and BytesRecv count wire bytes through the session.
 	BytesSent uint64
 	BytesRecv uint64
-	// Flow summarizes the session's flow-control state: "off" when the
-	// session predates or disabled flow control, "wait" while the peer's
-	// capability hello is pending, "on" against a confirmed flow peer.
+	// Flow summarizes the session's flow-control state: "wait" while the
+	// peer's hello is pending, "on" once it has arrived.
 	Flow string
 	// SendWindow is the remaining session-level send credit in bytes and
 	// QueuedBytes the data queued awaiting credit or the writer;
-	// Stalls counts writer stalls for lack of credit. Zero when Flow is
-	// "off".
+	// Stalls counts writer stalls for lack of credit.
 	SendWindow  int64
 	QueuedBytes int64
 	Stalls      uint64
@@ -103,15 +96,11 @@ type SessionInfo struct {
 }
 
 // FlowLabel renders a session's flow-control state for the debug page.
-func FlowLabel(enabled, peer bool) string {
-	switch {
-	case !enabled:
-		return "off"
-	case !peer:
+func FlowLabel(peer bool) string {
+	if !peer {
 		return "wait"
-	default:
-		return "on"
 	}
+	return "on"
 }
 
 // Observability bundles everything one space exposes to operators: its

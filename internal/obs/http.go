@@ -96,8 +96,8 @@ func (o *Observability) serveDebug(w http.ResponseWriter, _ *http.Request) {
 		d = o.Debug()
 	}
 	fmt.Fprintf(w, "<h1>space %s</h1>\n", esc(d.Name))
-	fmt.Fprintf(w, "<p>id %s · liveness %s · variant %s · endpoints %s · <a href=\"/metrics\">/metrics</a></p>\n",
-		esc(d.ID), esc(d.Liveness), esc(d.Variant), esc(strings.Join(d.Endpoints, ", ")))
+	fmt.Fprintf(w, "<p>id %s · liveness %s · endpoints %s · <a href=\"/metrics\">/metrics</a></p>\n",
+		esc(d.ID), esc(d.Liveness), esc(strings.Join(d.Endpoints, ", ")))
 
 	fmt.Fprintf(w, "<h2>export table (%d entries)</h2>\n", len(d.Exports))
 	fmt.Fprint(w, "<table><tr><th>index</th><th>type</th><th>pins</th><th>pinned</th><th>dirty set</th></tr>\n")
@@ -122,12 +122,12 @@ func (o *Observability) serveDebug(w http.ResponseWriter, _ *http.Request) {
 
 	fmt.Fprintf(w, "<h2>peer sessions (%d links)</h2>\n", len(d.Sessions))
 	fmt.Fprint(w, "<table><tr><th>peer</th><th>dir</th><th>in-flight</th>"+
-		"<th>queue</th><th>bytes sent</th><th>bytes recv</th>"+
+		"<th>bytes sent</th><th>bytes recv</th>"+
 		"<th>flow</th><th>send window</th><th>queued</th><th>stalls</th></tr>\n")
 	for _, s := range d.Sessions {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td>"+
+		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td>"+
 			"<td>%s</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
-			esc(s.Endpoint), esc(s.Dir), s.InFlight, s.QueueDepth, s.BytesSent, s.BytesRecv,
+			esc(s.Endpoint), esc(s.Dir), s.InFlight, s.BytesSent, s.BytesRecv,
 			esc(s.Flow), s.SendWindow, s.QueuedBytes, s.Stalls)
 	}
 	fmt.Fprint(w, "</table>\n")

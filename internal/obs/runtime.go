@@ -77,7 +77,7 @@ type Metrics struct {
 	BytesSent    *Counter
 	BytesRecv    *Counter
 
-	// Promise pipelining, one-way calls and batching (internal/promise).
+	// Promise pipelining and one-way calls (internal/promise).
 	PipelineCalls     *Counter
 	PipelineResolved  *Counter
 	PipelineBroken    *Counter
@@ -85,8 +85,6 @@ type Metrics struct {
 	PipelineFallbacks *Counter
 	OneWaysSent       *Counter
 	OneWaysServed     *Counter
-	BatchesSent       *Counter
-	BatchFramesSent   *Counter
 
 	// Session flow control and keepalives (internal/flow).
 	FlowChunksSent        *Counter
@@ -188,17 +186,15 @@ func NewMetrics() *Metrics {
 		PipelineResolved:  r.Counter("netobj_pipeline_resolved_total", "Promises resolved successfully."),
 		PipelineBroken:    r.Counter("netobj_pipeline_broken_total", "Promises broken: a dependency failed or the session died."),
 		PipelineChained:   r.Counter("netobj_pipeline_chained_total", "Pipelined calls served whose receiver or arguments were unresolved promises."),
-		PipelineFallbacks: r.Counter("netobj_pipeline_fallbacks_total", "Pipelined calls degraded to sequential round trips (legacy peer or non-mux link)."),
+		PipelineFallbacks: r.Counter("netobj_pipeline_fallbacks_total", "Pipelined calls run as direct calls because the promise resolved in this space."),
 		OneWaysSent:       r.Counter("netobj_oneway_sent_total", "One-way calls issued by this space."),
 		OneWaysServed:     r.Counter("netobj_oneway_served_total", "One-way calls executed by this space."),
-		BatchesSent:       r.Counter("netobj_batches_sent_total", "Coalesced batch frames written by session writers."),
-		BatchFramesSent:   r.Counter("netobj_batch_frames_total", "Frames that rode inside a coalesced batch."),
 
-		FlowChunksSent:        r.Counter("netobj_flow_chunks_sent_total", "Data chunks sent by flow-enabled session writers."),
+		FlowChunksSent:        r.Counter("netobj_flow_chunks_sent_total", "Data chunks sent by session writers."),
 		FlowWindowUpdatesSent: r.Counter("netobj_flow_window_updates_sent_total", "Flow-control credit grants sent to peers."),
 		FlowWindowUpdatesRecv: r.Counter("netobj_flow_window_updates_recv_total", "Flow-control credit grants received from peers."),
 		FlowWriterStalls:      r.Counter("netobj_flow_writer_stalls_total", "Times a session writer had data queued but no credit to send it."),
-		FlowFallbacks:         r.Counter("netobj_flow_fallbacks_total", "Large sends that fell back to a single unchunked frame because the peer never advertised flow support."),
+		FlowFallbacks:         r.Counter("netobj_flow_fallbacks_total", "Always zero: every peer sends its flow hello first, so no large send falls back to an unchunked frame."),
 		KeepalivePingsSent:    r.Counter("netobj_keepalive_pings_sent_total", "Session keepalive probes sent."),
 		KeepalivePongsRecv:    r.Counter("netobj_keepalive_pongs_recv_total", "Session keepalive probe answers received."),
 		KeepaliveFailures:     r.Counter("netobj_keepalive_failures_total", "Sessions failed because the peer went silent past the keepalive allowance."),

@@ -621,13 +621,18 @@ func (r *Replica) fetchApply(ctx context.Context, ep, name string) error {
 	return nil
 }
 
-// nextLiveAfter returns the index of the first live peer after i in chain
-// order, or -1 when i is the tail of the live chain.
+// nextLiveAfter returns the index of the first peer after i in chain
+// order that is live or not yet declared dead, or -1 when i is the tail
+// of the live chain. A peer that has never answered a probe stays in the
+// chain until it has failed ProbeFailures of them, so a write sequenced
+// before the first probe round reaches it is not acknowledged while only
+// the sequencer holds it; the write fails instead, and the resolver
+// retries it.
 func (r *Replica) nextLiveAfter(i int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for j := i + 1; j < len(r.opts.Peers); j++ {
-		if j == r.opts.Self || r.peers[j].live {
+		if j == r.opts.Self || r.peers[j].live || r.peers[j].fails < r.opts.ProbeFailures {
 			return j
 		}
 	}

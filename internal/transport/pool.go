@@ -22,10 +22,6 @@ type Pool struct {
 	metrics *obs.Metrics
 	tracer  obs.Tracer
 	flow    *flow.Params
-	noPipe  bool
-	// batchWindow is the frame-coalescing window new sessions are created
-	// with (see SessionOptions.BatchWindow).
-	batchWindow time.Duration
 	// localSpace is the space identity new sessions advertise in their
 	// PeerHello (zero: no advertisement).
 	localSpace wire.SpaceID
@@ -65,22 +61,10 @@ func (p *Pool) SetObserver(m *obs.Metrics, t obs.Tracer) {
 }
 
 // SetFlow installs the flow-control parameters new outbound sessions are
-// created with. Nil (the default) disables flow control: sessions behave
-// exactly as before the subsystem existed.
+// created with. Nil (the default) selects the package defaults.
 func (p *Pool) SetFlow(fp *flow.Params) {
 	p.mu.Lock()
 	p.flow = fp
-	p.mu.Unlock()
-}
-
-// SetPipeline configures pipelining for new outbound sessions: noPipe
-// suppresses the capability advertisement (peers then treat this side as
-// a legacy, sequential client) and batchWindow sets the writer's
-// frame-coalescing window (zero disables batching).
-func (p *Pool) SetPipeline(noPipe bool, batchWindow time.Duration) {
-	p.mu.Lock()
-	p.noPipe = noPipe
-	p.batchWindow = batchWindow
 	p.mu.Unlock()
 }
 
@@ -202,9 +186,9 @@ func (p *Pool) Session(ctx context.Context, endpoints []string) (*Session, strin
 		t.Emit(obs.Event{Kind: obs.EvPoolMiss, Time: time.Now(), Key: ep, Dur: dial})
 	}
 	p.mu.Lock()
-	fp, noPipe, bw, ls, oka := p.flow, p.noPipe, p.batchWindow, p.localSpace, p.onKeepalive
+	fp, ls, oka := p.flow, p.localSpace, p.onKeepalive
 	p.mu.Unlock()
-	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, NoPipeline: noPipe, BatchWindow: bw, LocalSpace: ls, OnKeepalive: oka})
+	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, LocalSpace: ls, OnKeepalive: oka})
 	slot.ep = ep
 	return slot.s, ep, nil
 }
@@ -275,10 +259,9 @@ func (p *Pool) SessionsSnapshot(promises func(*Session) int) []obs.SessionInfo {
 			Endpoint:    ep,
 			Dir:         "out",
 			InFlight:    st.InFlight,
-			QueueDepth:  st.QueueDepth,
 			BytesSent:   st.BytesSent,
 			BytesRecv:   st.BytesRecv,
-			Flow:        obs.FlowLabel(st.FlowEnabled, st.PeerFlow),
+			Flow:        obs.FlowLabel(st.PeerFlow),
 			SendWindow:  st.SendWindow,
 			QueuedBytes: st.FlowQueued,
 			Stalls:      st.FlowStalls,

@@ -29,10 +29,9 @@ import (
 // handoff on the way out. Everything that needs a scheduler is written by
 // the session's writer goroutine, which takes the same lock once per
 // frame: the stream-0 hellos (the lock is held from NewSession until they
-// are out, so they are always the first frames), flow-control frames,
-// credit-gated data chunks and BatchWindow batches. The lock hands off in
-// arrival order, so a cancel waits behind at most the one data chunk
-// being written.
+// are out, so they are always the first frames), flow-control frames and
+// credit-gated data chunks. The lock hands off in arrival order, so a
+// cancel waits behind at most the one data chunk being written.
 //
 // Inbound streams opened by the peer are served by handler goroutines the
 // session keeps parked between streams (up to maxIdleHandlers), so a
@@ -47,10 +46,6 @@ import (
 // stop waiting without poisoning the link for its neighbours. The owner of
 // an exchange ends it with Release, which also returns the stream's
 // receive buffers to the pool.
-
-// batchQueue is the capacity, in frames, of the writer's queue for frames
-// that wait to be batched.
-const batchQueue = 64
 
 // maxIdleHandlers caps the accept handlers a session keeps parked between
 // inbound streams. A burst of concurrent dispatches starts as many
@@ -75,29 +70,18 @@ type SessionOptions struct {
 	// switch the connection into session mode. It is demultiplexed before
 	// any other inbound frame.
 	Preread []byte
-	// Flow, when non-nil, enables credit-based flow control, chunked
-	// large-payload streaming and keepalives for the session (see
-	// internal/flow). Zero fields take the package defaults. A nil Flow
-	// keeps the legacy mux-only behaviour; the two interoperate — flow
-	// frames are only sent to peers that advertised the capability.
+	// Flow sets the session's credit-based flow control, chunked
+	// large-payload streaming and keepalives (see internal/flow). Every
+	// session is flow-controlled; nil and zero fields take the package
+	// defaults.
 	Flow *flow.Params
 	// Metrics, when non-nil, receives the session's flow-control and
 	// keepalive counters.
 	Metrics *obs.Metrics
-	// NoPipeline suppresses the PipeHello capability advertisement, making
-	// this endpoint look like a legacy peer: the other side falls back to
-	// sequential round trips and unbatched frames. Used to gate pipelining
-	// off (Options.DisablePipeline) and to exercise the fallback in tests.
-	NoPipeline bool
-	// BatchWindow, when positive, lets the session writer coalesce bursts
-	// of small queued frames into one OpBatch frame, holding the first
-	// frame of a burst up to this long for companions. Only effective once
-	// the peer has advertised CapBatch; zero disables batching.
-	BatchWindow time.Duration
 	// LocalSpace, when nonzero, is the space identity this endpoint
 	// advertises on stream 0 (wire.PeerHello). A peer that has identified
 	// itself lets the collector treat this session's health as proof of
-	// that space's liveness; legacy peers discard the hello harmlessly.
+	// that space's liveness.
 	LocalSpace wire.SpaceID
 	// OnKeepalive, when non-nil, is invoked with the peer's advertised
 	// space id on every keepalive exchange (inbound ping or pong) from an
@@ -116,8 +100,7 @@ type Session struct {
 	c      Conn
 	accept func(*Stream)
 
-	// flow is the session's flow-control state, nil when disabled. See
-	// session_flow.go.
+	// flow is the session's flow-control state. See session_flow.go.
 	flow *flowState
 
 	// wlock is the write lock: a one-slot semaphore, so a sender can give
@@ -129,8 +112,7 @@ type Session struct {
 	wd    writeDeadliner
 	wdl   int64
 
-	writeCh chan writeReq
-	done    chan struct{}
+	done chan struct{}
 
 	// handoff passes a fresh inbound stream to a parked handler; idle
 	// counts the handlers parked (or about to park) on it.
@@ -148,9 +130,6 @@ type Session struct {
 	bytesSent atomic.Uint64
 	bytesRecv atomic.Uint64
 
-	// batchWindow is the writer's coalescing window (0 = batching off).
-	batchWindow time.Duration
-
 	// promiseIDs allocates session-scoped promise ids for pipelined calls
 	// and onewaySeq numbers this session's outbound one-way calls; both
 	// belong to the session because their scope is exactly its lifetime —
@@ -159,7 +138,7 @@ type Session struct {
 	onewaySeq  atomic.Uint64
 
 	// peerSpace is the space id the peer advertised in its PeerHello
-	// (zero until it arrives; forever zero against legacy peers).
+	// (zero until it arrives).
 	peerSpace atomic.Uint64
 
 	// onKeepalive, when non-nil, fires on keepalive exchanges with an
@@ -173,22 +152,17 @@ type SessionStats struct {
 	// InFlight is the number of open streams (exchanges awaiting their
 	// response).
 	InFlight int
-	// QueueDepth is the number of frames waiting in the writer's batching
-	// queue.
-	QueueDepth int
 	// BytesSent and BytesRecv count wire bytes through the session,
 	// envelopes included.
 	BytesSent uint64
 	BytesRecv uint64
-	// FlowEnabled reports that the session was created with flow control;
-	// PeerFlow that the peer advertised the capability too (until then —
-	// or forever, against a legacy peer — large frames travel unchunked).
-	FlowEnabled bool
-	PeerFlow    bool
+	// PeerFlow reports that the peer's hello has arrived; until then a
+	// large send waits for it.
+	PeerFlow bool
 	// SendWindow is the remaining session-level send credit in bytes and
 	// FlowQueued the data bytes queued awaiting credit or the writer;
 	// FlowStalls counts times the writer found data queued but nothing
-	// sendable for lack of credit. All zero on non-flow sessions.
+	// sendable for lack of credit.
 	SendWindow int64
 	FlowQueued int64
 	FlowStalls uint64
@@ -198,83 +172,73 @@ type SessionStats struct {
 // goroutines. The session owns c from here on: closing the session closes
 // the connection, and a connection error tears the session down.
 func NewSession(c Conn, opts SessionOptions) *Session {
+	var fp flow.Params
+	if opts.Flow != nil {
+		fp = *opts.Flow
+	}
 	s := &Session{
 		c:           c,
 		accept:      opts.Accept,
+		flow:        newFlowState(fp.WithDefaults(), opts.Metrics),
 		wlock:       make(chan struct{}, 1),
-		writeCh:     make(chan writeReq, batchQueue),
 		done:        make(chan struct{}),
 		handoff:     make(chan *Stream),
 		streams:     make(map[uint64]*Stream),
 		onKeepalive: opts.OnKeepalive,
 	}
 	s.wd, _ = c.(writeDeadliner)
-	var hellos []*[]byte
-	if opts.Flow != nil {
-		s.flow = newFlowState(opts.Flow.WithDefaults(), opts.Metrics)
-		// Advertise our receive windows before anything else is written:
-		// the hello must be the session's first frame, so a receiving
-		// server switches into session mode on it and a flow-enabled peer
-		// learns our capability as early as possible.
-		hellos = append(hellos, s.flow.helloFrame())
-		if !opts.NoPipeline {
-			// Pipelining rides the same stream-0 hello mechanism; a
-			// separate message rather than new SessHello fields because
-			// the decoder rejects trailing bytes. Legacy peers ignore it.
-			caps := uint64(wire.CapPipeline | wire.CapBatch)
-			hellos = append(hellos, s.flow.pipeHelloFrame(caps))
-		}
-		s.batchWindow = opts.BatchWindow
-	}
+	// Advertise our receive windows before anything else is written: the
+	// hello is the session's first frame, so a receiving server switches
+	// into session mode on it and the peer learns our windows as early as
+	// possible.
+	p := s.flow.params
+	hellos := []*[]byte{stream0Frame(&wire.SessHello{
+		StreamWindow:  uint64(p.StreamWindow),
+		SessionWindow: uint64(p.SessionWindow),
+		ChunkSize:     uint64(p.ChunkSize),
+	})}
 	if opts.LocalSpace != 0 {
 		// Identify ourselves on stream 0 so the peer's collector can fold
-		// its liveness traffic for us onto this session's keepalives. Sent
-		// even on flowless sessions: identity is orthogonal to flow, and
-		// like the other hellos it is discarded harmlessly by old peers.
-		hellos = append(hellos, peerHelloFrame(opts.LocalSpace))
+		// its liveness traffic for us onto this session's keepalives.
+		hellos = append(hellos, stream0Frame(&wire.PeerHello{Space: opts.LocalSpace}))
 	}
-	if len(hellos) > 0 {
-		// Hold the write lock until the writer has sent the hellos, so no
-		// sender can put a frame on the wire ahead of them.
-		s.wlock <- struct{}{}
-	}
+	// Hold the write lock until the writer has sent the hellos, so no
+	// sender can put a frame on the wire ahead of them.
+	s.wlock <- struct{}{}
 	loops := 2
-	if s.flow != nil && s.flow.ka != nil {
+	if s.flow.ka != nil {
 		loops++
 	}
 	s.loops.Add(loops)
 	go s.writeLoop(hellos)
 	go s.readLoop(opts.Preread)
-	if s.flow != nil && s.flow.ka != nil {
+	if s.flow.ka != nil {
 		go s.keepaliveLoop()
 	}
 	return s
 }
 
-// peerHelloFrame builds the space-identity advertisement, mux-wrapped on
-// stream 0 like the capability hellos.
-func peerHelloFrame(id wire.SpaceID) *[]byte {
-	inner := wire.Marshal(nil, &wire.PeerHello{Space: id})
+// stream0Frame builds a hello, mux-wrapped on the reserved stream 0.
+func stream0Frame(m wire.Message) *[]byte {
+	inner := wire.Marshal(nil, m)
 	bp := wire.GetBuf()
 	*bp = append(wire.AppendMuxHeader((*bp)[:0], 0), inner...)
 	return bp
 }
 
 // onStream0 handles one stream-0 control message: the peer-identity
-// hello lands in the session itself, everything else belongs to the flow
-// state. Unknown future control messages are ignored, not failed — that
-// forward-compatibility rule is what lets the hello set grow at all.
+// hello lands in the session itself, the flow hello in the flow state.
+// Anything else is ignored.
 func (s *Session) onStream0(payload []byte) {
-	if wire.PeekOp(payload) == wire.OpPeerHello {
-		if msg, err := wire.Unmarshal(payload); err == nil {
-			if ph, ok := msg.(*wire.PeerHello); ok {
-				s.peerSpace.Store(uint64(ph.Space))
-			}
-		}
+	msg, err := wire.Unmarshal(payload)
+	if err != nil {
 		return
 	}
-	if s.flow != nil {
-		s.flow.onHello(payload)
+	switch h := msg.(type) {
+	case *wire.PeerHello:
+		s.peerSpace.Store(uint64(h.Space))
+	case *wire.SessHello:
+		s.flow.onHello(h)
 	}
 }
 
@@ -285,13 +249,12 @@ func (s *Session) PeerSpace() wire.SpaceID {
 }
 
 // KeepaliveHealthy reports whether an active session keepalive is
-// currently confirming the peer: flow is on, the keepalive is running,
-// the peer has answered within its miss budget, and the connection does
-// not already know the peer is gone (a crashed peer's connection can say
-// so before the reader has torn the session down). This is the strong
-// liveness signal collector traffic may be subsumed by — Healthy() alone
-// falls back to a connection probe, which cannot distinguish a hung peer
-// process from a live one.
+// currently confirming the peer: the keepalive is running, the peer's
+// hello has arrived, and the connection does not already know the peer is
+// gone (a crashed peer's connection can say so before the reader has torn
+// the session down). This is the strong liveness signal collector
+// traffic may be subsumed by — Healthy() alone falls back to a connection
+// probe, which cannot distinguish a hung peer process from a live one.
 func (s *Session) KeepaliveHealthy() bool {
 	select {
 	case <-s.done:
@@ -299,11 +262,12 @@ func (s *Session) KeepaliveHealthy() bool {
 	default:
 	}
 	f := s.flow
-	return f != nil && f.ka != nil && f.peerOK.Load() && Healthy(s.c)
+	return f.ka != nil && f.peerOK.Load() && Healthy(s.c)
 }
 
 // notifyKeepalive fires the OnKeepalive callback for an identified peer.
-// Unidentified (legacy) peers have no space id to stamp a lease for.
+// A peer that has not identified itself has no space id to stamp a lease
+// for.
 func (s *Session) notifyKeepalive() {
 	if s.onKeepalive == nil {
 		return
@@ -313,7 +277,7 @@ func (s *Session) notifyKeepalive() {
 	}
 }
 
-// PokeKeepalive nudges an immediate keepalive probe onto a healthy flow
+// PokeKeepalive nudges an immediate keepalive probe onto a healthy
 // session, off the regular tick schedule, and reports whether one was
 // queued. The lease renewer uses it to fold a renewal into the keepalive
 // exchange: the pong's arrival stamps the peer's lease table without a
@@ -350,10 +314,8 @@ func (s *Session) OpenID(id uint64) (*Stream, error) {
 }
 
 func (s *Session) newStreamLocked(id uint64) *Stream {
-	st := &Stream{s: s, id: id, in: make(chan inMsg, streamInbox), done: make(chan struct{})}
-	if s.flow != nil {
-		st.ledger = flow.NewRecvLedger(s.flow.params.StreamWindow)
-	}
+	st := &Stream{s: s, id: id, in: make(chan inMsg, streamInbox), done: make(chan struct{}),
+		ledger: flow.NewRecvLedger(s.flow.params.StreamWindow)}
 	s.streams[id] = st
 	return st
 }
@@ -376,9 +338,7 @@ func (s *Session) fail(cause error) {
 	s.cause = cause
 	s.mu.Unlock()
 	close(s.done)
-	if s.flow != nil {
-		s.flow.sched.Fail(s.closeErr())
-	}
+	s.flow.sched.Fail(s.closeErr())
 	_ = s.c.Close()
 }
 
@@ -416,17 +376,17 @@ func (s *Session) closeErr() error {
 }
 
 // Healthy reports whether the session can still carry traffic, so a
-// session cache can decide between reuse and redial. On a flow-enabled
-// link with a confirmed flow peer, the session keepalive owns liveness —
-// a dead peer fails the session within two intervals — so the per-call
-// connection probe is retired; against a legacy peer it still runs.
+// session cache can decide between reuse and redial. Once the peer's
+// hello has arrived the session keepalive owns liveness — a dead peer
+// fails the session within two intervals — so the per-call connection
+// probe runs only before then, or with keepalives off.
 func (s *Session) Healthy() bool {
 	select {
 	case <-s.done:
 		return false
 	default:
 	}
-	if f := s.flow; f != nil && f.ka != nil && f.peerOK.Load() {
+	if f := s.flow; f.ka != nil && f.peerOK.Load() {
 		return true
 	}
 	return Healthy(s.c)
@@ -449,45 +409,21 @@ func (s *Session) NextOneWaySeq() uint64 { return s.onewaySeq.Add(1) }
 // them.
 func (s *Session) OneWaysSent() uint64 { return s.onewaySeq.Load() }
 
-// PeerCaps reports the peer's advertised pipelining capability bits
-// (wire.CapPipeline, wire.CapBatch), blocking up to the hello grace on
-// first use when the verdict is not yet in. Returns 0 — sequential
-// fallback — on legacy peers, non-flow sessions, and dead sessions; the
-// grace expiry is sticky, so later calls decide instantly. cancel, when
-// non-nil, aborts the wait early (also reporting 0).
-func (s *Session) PeerCaps(cancel <-chan struct{}) uint64 {
-	if s.flow == nil {
-		return 0
-	}
-	return s.flow.waitCaps(cancel, s.done)
-}
-
 // Stats snapshots the session's load.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	inflight := len(s.streams)
 	s.mu.Unlock()
-	st := SessionStats{
+	f := s.flow
+	return SessionStats{
 		InFlight:   inflight,
-		QueueDepth: len(s.writeCh),
 		BytesSent:  s.bytesSent.Load(),
 		BytesRecv:  s.bytesRecv.Load(),
+		PeerFlow:   f.peerOK.Load(),
+		SendWindow: f.sched.SessAvail(),
+		FlowQueued: f.sched.QueuedBytes(),
+		FlowStalls: f.sched.Stalls(),
 	}
-	if f := s.flow; f != nil {
-		st.FlowEnabled = true
-		st.PeerFlow = f.peerOK.Load()
-		st.SendWindow = f.sched.SessAvail()
-		st.FlowQueued = f.sched.QueuedBytes()
-		st.FlowStalls = f.sched.Stalls()
-	}
-	return st
-}
-
-// writeReq is one frame queued for batching plus the channel that reports
-// its physical write back to the Stream.Send that queued it.
-type writeReq struct {
-	bp  *[]byte
-	ack chan error // buffered(1); receives exactly one result
 }
 
 // lockWrite takes the write lock for the writer goroutine, which waits
@@ -545,148 +481,46 @@ func (s *Session) writeFrame(frame []byte) error {
 }
 
 // writeLoop is the session's writer goroutine. It sends the hellos first
-// (NewSession took the write lock for them), then serves the work that
-// needs a scheduler, taking the write lock for each frame.
-//
-// With flow control enabled the loop is a strict priority scheduler:
-// pending protocol frames (pongs, window grants, resets, pings) first,
-// then frames queued for batching, and only with both lanes empty one
-// credit-gated data chunk. Small frames written by their senders compete
-// for the lock between any two of these frames, so a cancel waits behind
-// at most one chunk write.
+// (NewSession took the write lock for them), then runs a strict priority
+// scheduler, taking the write lock for each frame: pending protocol
+// frames (pongs, window grants, resets, pings) first, and only with none
+// pending one credit-gated data chunk. Small frames written by their
+// senders compete for the lock between any two of these frames, so a
+// cancel waits behind at most one chunk write.
 func (s *Session) writeLoop(hellos []*[]byte) {
 	defer s.loops.Done()
-	if len(hellos) > 0 {
-		var err error
-		for _, bp := range hellos {
-			if err == nil {
-				err = s.writeLocked(*bp, 0)
-			}
-			wire.PutBuf(bp)
-		}
-		s.unlockWrite()
-		if err != nil {
-			s.fail(err)
-			return
-		}
-	}
-	var ctrlKick, dataKick <-chan struct{}
-	if s.flow != nil {
-		ctrlKick = s.flow.kick
-		dataKick = s.flow.sched.Kick()
-	}
-	for {
-		if s.flow != nil {
-			if err := s.flow.writeControl(s); err != nil {
-				return
-			}
-		}
-		select {
-		case <-s.done:
-			return
-		case req := <-s.writeCh:
-			if !s.writeQueued(req) {
-				return
-			}
-			continue
-		default:
-		}
-		if s.flow != nil {
-			wrote, err := s.flow.writeData(s)
-			if err != nil {
-				return
-			}
-			if wrote {
-				continue
-			}
-		}
-		// Both lanes empty: block until there is work.
-		select {
-		case req := <-s.writeCh:
-			if !s.writeQueued(req) {
-				return
-			}
-		case <-ctrlKick:
-		case <-dataKick:
-		case <-s.done:
-			return
-		}
-	}
-}
-
-// Batching bounds: only frames up to batchMaxFrame ride in a batch (a
-// larger one is written by its sender), and a batch closes once it holds
-// batchMaxBytes regardless of the flush window.
-const (
-	batchMaxFrame = 2 << 10
-	batchMaxBytes = 16 << 10
-)
-
-// batching reports whether a frame of n bytes goes through the writer's
-// batching queue instead of being written by its sender: batching is
-// enabled, the peer advertised CapBatch, and the frame is small enough.
-func (s *Session) batching(n int) bool {
-	return s.batchWindow > 0 && s.flow != nil &&
-		s.flow.peerCaps.Load()&wire.CapBatch != 0 && n <= batchMaxFrame
-}
-
-// writeQueued writes one queued frame, coalescing a burst of small
-// companions into a single OpBatch frame. The first frame of a burst
-// waits at most the flush window; everything already queued behind it
-// ships immediately.
-func (s *Session) writeQueued(req writeReq) bool {
-	batch := []writeReq{req}
-	total := len(*req.bp)
-	flush := time.NewTimer(s.batchWindow)
-	defer flush.Stop()
-collect:
-	for total < batchMaxBytes {
-		select {
-		case r2 := <-s.writeCh:
-			batch = append(batch, r2)
-			total += len(*r2.bp)
-		case <-flush.C:
-			break collect
-		case <-s.done:
-			err := s.closeErr()
-			for _, r := range batch {
-				wire.PutBuf(r.bp)
-				r.ack <- err
-			}
-			return false
-		}
-	}
-	return s.writeBatch(batch)
-}
-
-// writeBatch sends the collected frames — alone when the burst never
-// materialized, as one OpBatch frame otherwise — and acks every waiting
-// Stream.Send.
-func (s *Session) writeBatch(batch []writeReq) bool {
-	bp := batch[0].bp
-	if len(batch) > 1 {
-		bp = wire.GetBuf()
-		buf := wire.AppendBatchHeader((*bp)[:0])
-		for _, r := range batch {
-			buf = wire.AppendBatchFrame(buf, *r.bp)
-		}
-		*bp = buf
-	}
-	err := s.writeFrame(*bp)
-	if len(batch) > 1 {
+	var err error
+	for _, bp := range hellos {
 		if err == nil {
-			if f := s.flow; f != nil {
-				f.mBatches.Inc()
-				f.mBatchFrames.Add(uint64(len(batch)))
-			}
+			err = s.writeLocked(*bp, 0)
 		}
 		wire.PutBuf(bp)
 	}
-	for _, r := range batch {
-		wire.PutBuf(r.bp)
-		r.ack <- err
+	s.unlockWrite()
+	if err != nil {
+		s.fail(err)
+		return
 	}
-	return err == nil
+	f := s.flow
+	for {
+		if err := f.writeControl(s); err != nil {
+			return
+		}
+		wrote, err := f.writeData(s)
+		if err != nil {
+			return
+		}
+		if wrote {
+			continue
+		}
+		// Nothing to write: block until there is work.
+		select {
+		case <-f.kick:
+		case <-f.sched.Kick():
+		case <-s.done:
+			return
+		}
+	}
 }
 
 // readLoop demultiplexes inbound frames to their streams by envelope id.
@@ -707,7 +541,7 @@ func (s *Session) readLoop(preread []byte) {
 			scratch = frame
 		}
 		s.bytesRecv.Add(uint64(len(frame)))
-		if f := s.flow; f != nil && f.ka != nil {
+		if f := s.flow; f.ka != nil {
 			// Any inbound frame proves the peer alive.
 			f.ka.Touch(time.Now())
 		}
@@ -718,11 +552,7 @@ func (s *Session) readLoop(preread []byte) {
 				return
 			}
 			if id == 0 {
-				// Reserved session-control stream: the peer's identity or
-				// capability hello (or a future control message, ignored).
-				// Flow hellos are dropped when flow is disabled locally —
-				// the peer's grace fallback then treats us as a legacy
-				// link.
+				// Reserved session-control stream: the peer's hellos.
 				s.onStream0(payload)
 			} else {
 				s.dispatch(id, payload)
@@ -730,35 +560,7 @@ func (s *Session) readLoop(preread []byte) {
 			frame = nil
 			continue
 		}
-		if s.flow != nil && s.readFlowFrame(frame) {
-			frame = nil
-			continue
-		}
-		if wire.PeekOp(frame) == wire.OpBatch {
-			// A coalesced burst: process the sub-frames exactly as if
-			// they had arrived separately. Each is an ordinary mux frame
-			// (hellos and flow frames never ride the batched lane).
-			subs, err := wire.SplitBatch(frame)
-			if err != nil {
-				s.fail(fmt.Errorf("transport: bad batch frame on session: %w", err))
-				return
-			}
-			for _, sub := range subs {
-				if !wire.IsMux(sub) {
-					s.fail(fmt.Errorf("transport: non-mux frame in batch (op %v)", wire.PeekOp(sub)))
-					return
-				}
-				id, payload, err := wire.SplitMux(sub)
-				if err != nil {
-					s.fail(fmt.Errorf("transport: bad mux frame in batch: %w", err))
-					return
-				}
-				if id == 0 {
-					s.onStream0(payload)
-				} else {
-					s.dispatch(id, payload)
-				}
-			}
+		if s.readFlowFrame(frame) {
 			frame = nil
 			continue
 		}
@@ -770,8 +572,7 @@ func (s *Session) readLoop(preread []byte) {
 }
 
 // readFlowFrame handles one naked flow frame, reporting whether the frame
-// was one. The peer only sends these after receiving our hello, so their
-// presence on a flow-enabled session is always legitimate.
+// was one.
 func (s *Session) readFlowFrame(frame []byte) bool {
 	f := s.flow
 	switch wire.PeekOp(frame) {
@@ -878,8 +679,8 @@ func (s *Session) handle(st *Stream) {
 }
 
 // Stream is one logical exchange on a session. It implements Conn: Send
-// wraps the payload in the stream's mux envelope and writes it (or hands
-// it to the session writer); Recv awaits the next inbound frame routed to
+// wraps the payload in the stream's mux envelope and writes it (or, when
+// large, hands it to the session writer in chunks); Recv awaits the next inbound frame routed to
 // this id. Per the Conn contract a stream is used by one exchange at a
 // time, with Close safe concurrently (a cancellation watcher closes the
 // stream to abandon the exchange without touching the shared link). The
@@ -903,9 +704,9 @@ type Stream struct {
 
 	// asm accumulates an in-progress chunked message; the session's read
 	// loop builds it and Release recycles a leftover one, both under amu.
-	// ledger is the receive side of this stream's flow-control window
-	// (nil on non-flow sessions); the read loop charges it as chunks
-	// arrive and Recv as messages are consumed.
+	// ledger is the receive side of this stream's flow-control window;
+	// the read loop charges it as chunks arrive and Recv as messages are
+	// consumed.
 	amu    sync.Mutex
 	asm    *[]byte
 	ledger *flow.RecvLedger
@@ -958,25 +759,22 @@ func (st *Stream) timer() (*time.Timer, <-chan time.Time, error) {
 // response die unsent in a queue.
 //
 // A small frame is written by the calling goroutine under the session
-// write lock. A large one to a flow-capable peer is chunked through the
-// writer's credit scheduler, and with batching on a small one is queued
-// for the writer to coalesce. The stream deadline bounds every wait,
-// including the write itself on connections with a write deadline.
+// write lock. A large one is chunked through the writer's credit
+// scheduler once the peer's hello has told us its windows. The stream
+// deadline bounds every wait, including the write itself on connections
+// with a write deadline.
 func (st *Stream) Send(payload []byte) error {
 	if st.isClosed() {
 		return ErrClosed
 	}
 	s := st.s
-	if f := s.flow; f != nil && len(payload) > f.chunkThreshold() && f.waitPeer(st) {
-		// Large payload to a flow-capable peer: stream it as bounded,
-		// credit-gated chunks instead of one lock-monopolizing frame.
+	if len(payload) > s.flow.chunkThreshold() {
+		// Large payload: stream it as bounded, credit-gated chunks
+		// instead of one lock-monopolizing frame.
 		return st.sendChunked(payload)
 	}
 	bp := wire.GetBuf()
 	*bp = append(wire.AppendMuxHeader((*bp)[:0], st.id), payload...)
-	if s.batching(len(*bp)) {
-		return st.sendQueued(bp)
-	}
 	if err := st.lockWrite(); err != nil {
 		wire.PutBuf(bp)
 		return err
@@ -1016,46 +814,6 @@ func (st *Stream) lockWrite() error {
 		return ErrClosed
 	case <-s.done:
 		return s.closeErr()
-	case <-tc:
-		return ErrTimeout
-	}
-}
-
-// sendQueued hands a built frame to the writer for batching and waits for
-// its physical write.
-func (st *Stream) sendQueued(bp *[]byte) error {
-	t, tc, err := st.timer()
-	if err != nil {
-		wire.PutBuf(bp)
-		return err
-	}
-	if t != nil {
-		defer t.Stop()
-	}
-	ack := make(chan error, 1)
-	select {
-	case st.s.writeCh <- writeReq{bp: bp, ack: ack}:
-	case <-st.done:
-		wire.PutBuf(bp)
-		return ErrClosed
-	case <-st.s.done:
-		wire.PutBuf(bp)
-		return st.s.closeErr()
-	case <-tc:
-		wire.PutBuf(bp)
-		return ErrTimeout
-	}
-	// Queued: the writer owns the buffer now and will signal ack exactly
-	// once. The early returns below abandon the exchange, not the frame —
-	// it may still reach the wire, which is harmless (a response the
-	// caller stopped waiting for behaves like a late response).
-	select {
-	case err := <-ack:
-		return err
-	case <-st.done:
-		return ErrClosed
-	case <-st.s.done:
-		return st.s.closeErr()
 	case <-tc:
 		return ErrTimeout
 	}
@@ -1104,7 +862,7 @@ func (st *Stream) Recv(scratch []byte) ([]byte, error) {
 // credit its bytes held frozen while it sat in the inbox.
 func (st *Stream) take(m inMsg) []byte {
 	st.last = m.bp
-	if m.charged > 0 && st.ledger != nil {
+	if m.charged > 0 {
 		if g := st.ledger.Delivered(m.charged); g > 0 {
 			st.s.flow.queueGrant(st.id, g)
 		}
@@ -1133,12 +891,10 @@ func (st *Stream) Close() error {
 	st.once.Do(func() {
 		close(st.done)
 		st.s.removeStream(st.id)
-		if f := st.s.flow; f != nil {
-			// Withdraw any queued chunked sends; a partially-sent message
-			// poisons the peer's assembly, so a reset follows it.
-			if f.sched.CloseStream(st.id, ErrClosed) {
-				f.queueReset(st.id)
-			}
+		// Withdraw any queued chunked sends; a partially-sent message
+		// poisons the peer's assembly, so a reset follows it.
+		if f := st.s.flow; f.sched.CloseStream(st.id, ErrClosed) {
+			f.queueReset(st.id)
 		}
 	})
 	return nil

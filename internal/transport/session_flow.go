@@ -13,27 +13,19 @@ import (
 
 // This file is the session half of the flow-control subsystem
 // (internal/flow): chunked sends, credit accounting, the writer's
-// priority lanes, and keepalives. A flow-enabled session advertises its
-// receive windows in a SessHello wrapped in the mux envelope on reserved
-// stream id 0 — a frame legacy peers discard harmlessly — and sends
-// naked flow frames (OpData, OpWindowUpdate, OpFlowPing/Pong) only after
-// the peer's own hello proves it understands them. Payloads no larger
-// than the chunk size travel unchunked exactly as before, so two
-// flow-enabled peers, two legacy peers, or one of each all interoperate.
+// priority lanes, and keepalives. Every session advertises its receive
+// windows in a SessHello, its first frame, wrapped in the mux envelope on
+// reserved stream id 0. A payload larger than the chunk size travels as
+// credit-gated OpData chunks once the peer's hello has arrived; smaller
+// payloads travel whole.
 //
 // The writer goroutine sends these frames in strict priority order:
 // pending protocol frames (pongs, window grants, resets, pings) first,
-// then frames queued for batching, and only when both lanes are empty one
-// data chunk. It takes the session write lock for each frame, and small
-// frames (calls, responses, cancels, collector RPCs) are written by their
-// senders between any two of them, so a cancel waits at most one chunk
-// write — the fairness that folding every exchange onto one connection
-// would otherwise lose.
-
-// flowHelloGrace bounds how long a large send waits for the peer's hello
-// before concluding the peer predates flow control and falling back to a
-// single unchunked frame — sticky, so the wait is paid at most once.
-const flowHelloGrace = 500 * time.Millisecond
+// and only when none is pending one data chunk. It takes the session
+// write lock for each frame, and small frames (calls, responses, cancels,
+// collector RPCs) are written by their senders between any two of them,
+// so a cancel waits at most one chunk write — the fairness that folding
+// every exchange onto one connection would otherwise lose.
 
 // flowState carries one session's flow-control machinery.
 type flowState struct {
@@ -43,20 +35,8 @@ type flowState struct {
 
 	helloCh   chan struct{} // closed when the peer's hello arrives
 	helloOnce sync.Once
-	peerOK    atomic.Bool  // peer confirmed flow-capable
-	noFlow    atomic.Bool  // sticky: hello grace expired, peer is legacy
+	peerOK    atomic.Bool  // the peer's hello has arrived
 	sendChunk atomic.Int64 // chunk size for sends: min(local, peer), set on hello
-
-	// Promise-pipelining capability exchange. PipeHello rides stream 0
-	// right after SessHello; peerCaps holds the peer's advertised bits and
-	// pipeCh closes when they arrive. noPipe is the sticky grace-expired
-	// verdict, mirroring noFlow: a peer that never says PipeHello is
-	// treated as legacy (sequential round trips, no batches) for the
-	// session's lifetime.
-	pipeCh   chan struct{}
-	pipeOnce sync.Once
-	peerCaps atomic.Uint64
-	noPipe   atomic.Bool
 
 	sessLedger *flow.RecvLedger // receive side of the session-level window
 
@@ -72,16 +52,13 @@ type flowState struct {
 
 	seenStalls uint64 // scheduler stalls already mirrored to the metric (writer-only)
 
-	mChunks      *obs.Counter
-	mGrantsSent  *obs.Counter
-	mGrantsRecv  *obs.Counter
-	mStalls      *obs.Counter
-	mFallbacks   *obs.Counter
-	mPings       *obs.Counter
-	mPongs       *obs.Counter
-	mKaFail      *obs.Counter
-	mBatches     *obs.Counter
-	mBatchFrames *obs.Counter
+	mChunks     *obs.Counter
+	mGrantsSent *obs.Counter
+	mGrantsRecv *obs.Counter
+	mStalls     *obs.Counter
+	mPings      *obs.Counter
+	mPongs      *obs.Counter
+	mKaFail     *obs.Counter
 }
 
 func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
@@ -89,7 +66,6 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 		params:     p,
 		sched:      flow.NewScheduler(p.ChunkSize, p.StreamWindow, p.SessionWindow),
 		helloCh:    make(chan struct{}),
-		pipeCh:     make(chan struct{}),
 		sessLedger: flow.NewRecvLedger(p.SessionWindow),
 		grants:     make(map[uint64]int64),
 		kick:       make(chan struct{}, 1),
@@ -102,12 +78,9 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 		f.mGrantsSent = m.FlowWindowUpdatesSent
 		f.mGrantsRecv = m.FlowWindowUpdatesRecv
 		f.mStalls = m.FlowWriterStalls
-		f.mFallbacks = m.FlowFallbacks
 		f.mPings = m.KeepalivePingsSent
 		f.mPongs = m.KeepalivePongsRecv
 		f.mKaFail = m.KeepaliveFailures
-		f.mBatches = m.BatchesSent
-		f.mBatchFrames = m.BatchFramesSent
 	}
 	return f
 }
@@ -119,45 +92,9 @@ func (f *flowState) wake() {
 	}
 }
 
-// helloFrame builds the capability advertisement: the local receive
-// windows, mux-wrapped on stream 0.
-func (f *flowState) helloFrame() *[]byte {
-	inner := wire.Marshal(nil, &wire.SessHello{
-		StreamWindow:  uint64(f.params.StreamWindow),
-		SessionWindow: uint64(f.params.SessionWindow),
-		ChunkSize:     uint64(f.params.ChunkSize),
-	})
-	bp := wire.GetBuf()
-	*bp = append(wire.AppendMuxHeader((*bp)[:0], 0), inner...)
-	return bp
-}
-
-// pipeHelloFrame builds the pipelining capability advertisement,
-// mux-wrapped on stream 0 like the flow hello it follows.
-func (f *flowState) pipeHelloFrame(caps uint64) *[]byte {
-	inner := wire.Marshal(nil, &wire.PipeHello{Caps: caps})
-	bp := wire.GetBuf()
-	*bp = append(wire.AppendMuxHeader((*bp)[:0], 0), inner...)
-	return bp
-}
-
-// onHello handles a stream-0 control message from the peer.
-func (f *flowState) onHello(payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return // unknown future control message: ignore, don't fail the link
-	}
-	if ph, ok := msg.(*wire.PipeHello); ok {
-		f.pipeOnce.Do(func() {
-			f.peerCaps.Store(ph.Caps)
-			close(f.pipeCh)
-		})
-		return
-	}
-	h, ok := msg.(*wire.SessHello)
-	if !ok {
-		return
-	}
+// onHello applies the peer's flow hello: sends are chunked and credited
+// by the smaller of the two chunk sizes and the peer's receive windows.
+func (f *flowState) onHello(h *wire.SessHello) {
 	f.helloOnce.Do(func() {
 		chunk := f.params.ChunkSize
 		if h.ChunkSize > 0 && int(h.ChunkSize) < chunk {
@@ -185,67 +122,30 @@ func (f *flowState) chunkThreshold() int {
 	return f.params.ChunkSize
 }
 
-// waitPeer blocks a large send until the peer's flow capability is
-// known: true means chunk, false means fall back to one unchunked frame.
-// The grace wait is paid at most once — its expiry marks the peer legacy
-// for the session's lifetime.
-func (f *flowState) waitPeer(st *Stream) bool {
+// waitPeer blocks a large send until the peer's hello has told us its
+// receive windows. Every peer sends its hello first, so only the stream
+// deadline, the stream's close or the session's death end the wait early.
+func (st *Stream) waitPeer() error {
+	f := st.s.flow
 	if f.peerOK.Load() {
-		return true
+		return nil
 	}
-	if f.noFlow.Load() {
-		return false
-	}
-	grace := time.NewTimer(flowHelloGrace)
-	defer grace.Stop()
 	t, tc, err := st.timer()
 	if err != nil {
-		return false // deadline already passed; the fallback path reports it
+		return err
 	}
 	if t != nil {
 		defer t.Stop()
 	}
 	select {
 	case <-f.helloCh:
-		return true
-	case <-grace.C:
-		f.noFlow.Store(true)
-		f.mFallbacks.Inc()
-		return false
+		return nil
 	case <-tc:
-		return false
+		return ErrTimeout
 	case <-st.done:
-		return false
+		return ErrClosed
 	case <-st.s.done:
-		return false
-	}
-}
-
-// waitCaps blocks until the peer's pipelining capability is known,
-// returning the advertised bits (0 for a legacy peer). Like waitPeer the
-// grace wait is paid at most once — expiry marks the peer legacy for the
-// session's lifetime, so subsequent calls decide instantly.
-func (f *flowState) waitCaps(cancel <-chan struct{}, sessDone <-chan struct{}) uint64 {
-	select {
-	case <-f.pipeCh:
-		return f.peerCaps.Load()
-	default:
-	}
-	if f.noPipe.Load() {
-		return 0
-	}
-	grace := time.NewTimer(flowHelloGrace)
-	defer grace.Stop()
-	select {
-	case <-f.pipeCh:
-		return f.peerCaps.Load()
-	case <-grace.C:
-		f.noPipe.Store(true)
-		return 0
-	case <-cancel:
-		return 0
-	case <-sessDone:
-		return 0
+		return st.s.closeErr()
 	}
 }
 
@@ -401,38 +301,36 @@ func (s *Session) onData(id, flags uint64, chunk []byte) {
 		st.asm = bp
 	}
 	*st.asm = append(*st.asm, chunk...)
-	if st.ledger != nil {
-		if g := st.ledger.Chunk(len(chunk)); g > 0 {
-			f.queueGrant(id, g)
-		}
+	if g := st.ledger.Chunk(len(chunk)); g > 0 {
+		f.queueGrant(id, g)
 	}
 	if flags&wire.DataFlagLast != 0 {
 		bp := st.asm
 		st.asm = nil
 		n := len(*bp)
-		if st.ledger != nil {
-			st.ledger.Complete(n)
-		}
+		st.ledger.Complete(n)
 		select {
 		case st.in <- inMsg{bp: bp, charged: n}:
 		default:
 			// Inbox overflow: drop like a lossy link, but count the bytes
 			// consumed so the sender's window is not wedged forever.
 			wire.PutBuf(bp)
-			if st.ledger != nil {
-				if g := st.ledger.Delivered(n); g > 0 {
-					f.queueGrant(id, g)
-				}
+			if g := st.ledger.Delivered(n); g > 0 {
+				f.queueGrant(id, g)
 			}
 		}
 	}
 }
 
-// sendChunked queues payload with the scheduler and waits for the final
-// chunk's physical write, preserving Send's drain contract. The payload
-// is not copied: it stays aliased until the item completes or is
-// withdrawn, both of which happen-before return.
+// sendChunked waits for the peer's hello, queues payload with the
+// scheduler and waits for the final chunk's physical write, preserving
+// Send's drain contract. The payload is not copied: it stays aliased
+// until the item completes or is withdrawn, both of which happen-before
+// return.
 func (st *Stream) sendChunked(payload []byte) error {
+	if err := st.waitPeer(); err != nil {
+		return err
+	}
 	f := st.s.flow
 	it := f.sched.Enqueue(st.id, payload)
 	t, tc, derr := st.timer()
@@ -469,8 +367,8 @@ func (st *Stream) abortChunked(it *flow.Item, cause error) {
 }
 
 // keepaliveLoop probes the peer and fails the session when it goes
-// silent. Only confirmed flow peers are probed — a legacy peer cannot
-// pong, so its liveness stays with the per-call connection probe.
+// silent. Probing starts once the peer's hello has arrived; until then
+// liveness stays with the per-call connection probe.
 func (s *Session) keepaliveLoop() {
 	defer s.loops.Done()
 	f := s.flow

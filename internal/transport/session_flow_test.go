@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,9 +121,8 @@ func TestFlowChunkedRoundTrip(t *testing.T) {
 		t.Fatalf("frame of %d bytes on the wire, want ≤ chunk %d + header", max, p.ChunkSize)
 	}
 
-	stats := client.Stats()
-	if !stats.FlowEnabled || !stats.PeerFlow {
-		t.Fatalf("stats report flow=%v peer=%v, want both true", stats.FlowEnabled, stats.PeerFlow)
+	if !client.Stats().PeerFlow {
+		t.Fatal("stats do not report the peer's hello")
 	}
 }
 
@@ -259,18 +259,18 @@ func TestFlowCancelPriority(t *testing.T) {
 		t.Fatalf("bulk send: %v", err)
 	}
 
-	// The wire log must start with the two hellos, and show the small
+	// The wire log must start with the flow hello, and show the small
 	// frame strictly before the final bulk chunk: find it and check
 	// chunks follow.
 	sc.mu.Lock()
 	log := append([]int(nil), sc.log...)
 	sc.mu.Unlock()
-	if len(log) < 3 || log[0] >= 100 || log[1] >= 100 || log[2] < 4<<10 {
-		t.Fatalf("wire does not open with the two hellos then bulk: %v", log[:min(len(log), 4)])
+	if len(log) < 2 || log[0] >= 100 || log[1] < 4<<10 {
+		t.Fatalf("wire does not open with the hello then bulk: %v", log[:min(len(log), 4)])
 	}
 	small := -1
 	for i, n := range log {
-		if n < 100 && i > 1 { // skip the hellos; chunks are ~8KB
+		if n < 100 && i > 0 { // skip the hello; chunks are ~8KB
 			small = i
 			break
 		}
@@ -361,13 +361,13 @@ func TestFlowSlowConsumerBackpressuresOneStream(t *testing.T) {
 	// teardown; either way it must not stay stuck past cleanup.
 }
 
-// TestFlowInteropWithLegacyPeer pins backward compatibility: a
-// flow-enabled session talking to a plain PR-4 session falls back to
-// unchunked frames after the hello grace and both directions keep
-// working. The legacy side must also survive the stream-0 hello frame.
-func TestFlowInteropWithLegacyPeer(t *testing.T) {
+// TestLargeSendWaitsForPeerHello pins the one protocol: every peer sends
+// its SessHello first, so a large send to a peer whose hello has not
+// arrived waits for it, bounded by the stream deadline. It never falls
+// back to one unchunked frame, and the timeout fails only the stream.
+func TestLargeSendWaitsForPeerHello(t *testing.T) {
 	mem := NewMem()
-	l, err := mem.Listen("peer")
+	l, err := mem.Listen("silent")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -379,69 +379,53 @@ func TestFlowInteropWithLegacyPeer(t *testing.T) {
 			accepted <- c
 		}
 	}()
-	cc, err := mem.Dial("peer")
+	cc, err := mem.Dial("silent")
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 8 << 10, SessionWindow: 32 << 10, KeepaliveInterval: -1}
+	p := flow.Params{ChunkSize: 4 << 10, KeepaliveInterval: -1}
 	client := NewSession(cc, SessionOptions{Flow: &p})
 	defer client.Close()
-	// Legacy peer: no Flow at all.
-	server := NewSession(<-accepted, SessionOptions{Accept: func(st *Stream) {
-		defer st.Close()
-		frame, err := st.Recv(nil)
-		if err != nil {
-			return
+	// The peer reads every frame and never writes one: no hello.
+	peer := <-accepted
+	defer peer.Close()
+	var frames atomic.Int64
+	go func() {
+		for {
+			if _, err := peer.Recv(nil); err != nil {
+				return
+			}
+			frames.Add(1)
 		}
-		_ = st.Send(frame)
-	}})
-	defer server.Close()
+	}()
 
-	// A payload above the chunk size: waits out the hello grace, then
-	// falls back to one unchunked frame the legacy peer understands.
-	want := pattern(32 << 10)
 	st, err := client.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	_ = st.SetDeadline(time.Now().Add(10 * time.Second))
+	defer st.Release()
+	_ = st.SetDeadline(time.Now().Add(time.Second))
 	start := time.Now()
-	if err := st.Send(want); err != nil {
-		t.Fatalf("large send to legacy peer: %v", err)
+	err = st.Send(pattern(32 << 10))
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("large send without the peer's hello = %v after %v, want ErrTimeout", err, time.Since(start))
 	}
-	got, err := st.Recv(nil)
-	if err != nil {
-		t.Fatalf("recv from legacy peer: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("legacy echo corrupted (%d vs %d bytes)", len(got), len(want))
-	}
-	if time.Since(start) < flowHelloGrace {
-		t.Fatalf("large send returned in %v, expected it to wait out the %v hello grace", time.Since(start), flowHelloGrace)
+	if el := time.Since(start); el < 900*time.Millisecond {
+		t.Fatalf("large send gave up after %v, before its 1s deadline", el)
 	}
 
-	// The fallback is sticky: the next large send pays no grace.
+	// Only the stream failed: a small frame still goes out on the session.
 	st2, err := client.Open()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("session died with the timed-out stream: %v", err)
 	}
-	defer st2.Close()
-	_ = st2.SetDeadline(time.Now().Add(10 * time.Second))
-	start = time.Now()
-	if err := st2.Send(want); err != nil {
-		t.Fatalf("second large send: %v", err)
+	defer st2.Release()
+	if err := st2.Send([]byte("small")); err != nil {
+		t.Fatalf("small send after the timeout: %v", err)
 	}
-	if _, err := st2.Recv(nil); err != nil {
-		t.Fatalf("second recv: %v", err)
-	}
-	if time.Since(start) > flowHelloGrace {
-		t.Fatalf("second large send took %v, fallback should be sticky", time.Since(start))
-	}
-
-	stats := client.Stats()
-	if !stats.FlowEnabled || stats.PeerFlow {
-		t.Fatalf("stats report flow=%v peer=%v, want enabled but peer legacy", stats.FlowEnabled, stats.PeerFlow)
+	eventually(t, "the hello and the small frame at the peer", func() bool { return frames.Load() == 2 })
+	if client.Stats().PeerFlow {
+		t.Fatal("stats report the peer's hello, which never came")
 	}
 }
 

@@ -96,8 +96,8 @@ func (c *frameLog) Send(p []byte) error {
 }
 
 // TestHellosAreFirstFrames pins that sender-side writes never overtake
-// the session's hellos: with senders racing NewSession, the flow,
-// pipelining and identity hellos on stream 0 still lead the wire.
+// the session's hellos: with senders racing NewSession, the flow and
+// identity hellos on stream 0 still lead the wire.
 func TestHellosAreFirstFrames(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		c, peer := memPair(t)
@@ -136,13 +136,13 @@ func TestHellosAreFirstFrames(t *testing.T) {
 		log.mu.Lock()
 		frames := append([]string(nil), log.frames...)
 		log.mu.Unlock()
-		const hellos = 3 // flow, pipelining, identity
+		const hellos = 2 // flow, identity
 		if len(frames) < hellos+4 {
-			t.Fatalf("round %d: wire order %v, want three hellos then four calls", round, frames)
+			t.Fatalf("round %d: wire order %v, want two hellos then four calls", round, frames)
 		}
 		for i, f := range frames {
 			if (i < hellos) != (f == "stream0") {
-				t.Fatalf("round %d: wire order %v, want the three hellos first", round, frames)
+				t.Fatalf("round %d: wire order %v, want the two hellos first", round, frames)
 			}
 		}
 	}

@@ -6,11 +6,10 @@ package wire
 // detector's query/collect exchange.
 
 // PeerHello advertises the sending endpoint's space identity on a mux
-// session. It rides reserved stream id 0 after SessHello and PipeHello;
-// legacy peers discard it harmlessly. A session whose peer has identified
-// itself can stand in for collector liveness traffic: the keepalives
-// already flowing prove that *that specific space* — not merely some
-// process at the endpoint — is alive.
+// session. It rides reserved stream id 0 right after SessHello. A session
+// whose peer has identified itself can stand in for collector liveness
+// traffic: the keepalives already flowing prove that *that specific
+// space* — not merely some process at the endpoint — is alive.
 type PeerHello struct {
 	// Space is the sender's space id.
 	Space SpaceID

@@ -7,8 +7,8 @@ import (
 )
 
 // This file defines the session flow-control frames, in the HTTP/2 style.
-// A flow-enabled session splits any muxed payload larger than the chunk
-// size into bounded OpData frames
+// A session splits any muxed payload larger than the chunk size into
+// bounded OpData frames
 //
 //	[OpData uvarint][stream id uvarint][flags uvarint][chunk bytes]
 //
@@ -25,10 +25,10 @@ import (
 // hot path and the others are tiny fixed-shape control frames, so all
 // four are built with append-style helpers that allocate nothing.
 //
-// Capability is advertised by the SessHello message, which is an ordinary
-// Message wrapped in the mux envelope on reserved stream id 0 so that
-// peers without flow support discard it harmlessly. Naked flow frames are
-// only sent after the peer's hello arrives.
+// Each side's receive windows travel in the SessHello message, an
+// ordinary Message wrapped in the mux envelope on reserved stream id 0
+// and every session's first frame. Data frames are only sent after the
+// peer's hello arrives.
 
 // Data frame flags.
 const (
@@ -44,9 +44,9 @@ const (
 // ErrNotFlow reports a frame that does not carry the expected flow op.
 var ErrNotFlow = errors.New("wire: frame is not a flow frame")
 
-// SessHello advertises a session endpoint's flow-control capability and
-// receive windows. Each direction is independent: a sender chunks using
-// the windows the receiver advertised.
+// SessHello advertises a session endpoint's receive windows and chunk
+// size. Each direction is independent: a sender chunks using the windows
+// the receiver advertised.
 type SessHello struct {
 	// StreamWindow is the sender's per-stream receive window in bytes:
 	// how many data bytes a peer may have in flight on one stream before

@@ -28,7 +28,7 @@ func FuzzUnmarshal(f *testing.F) {
 		&Lease{Client: 7, ClientEndpoints: []string{"tcp:a:1", "inmem:b"}, Owner: 11},
 		&LeaseAck{Status: StatusOK, GrantedMillis: 30000},
 		&SessHello{StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
-		&PipeHello{Caps: CapPipeline | CapBatch},
+		&PeerHello{Space: 3},
 		&PipeCall{Obj: 5, Method: "M", Args: []byte("abc"), Promise: 3, ID: 42, DeadlineMillis: 250, Barrier: 2},
 		&PipeCall{TargetPromise: 3, Method: "N", Typed: true, Fingerprint: 7, Args: []byte{1}, Promise: 4, ID: 43},
 		&PipeCall{Obj: 1, Method: "P", Args: []byte{0, 0}, ArgPromisePos: []uint64{0, 1}, ArgPromiseIDs: []uint64{3, 4}, Promise: 5, ID: 44},
@@ -83,7 +83,7 @@ func TestUnmarshalTruncationDeterministic(t *testing.T) {
 		&CancelCall{ID: 42},
 		&CancelAck{Status: StatusNoSuchObject},
 		&SessHello{StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
-		&PipeHello{Caps: CapPipeline | CapBatch},
+		&PeerHello{Space: 3},
 		&PipeCall{Obj: 5, Method: "Method", Typed: true, Fingerprint: 0xfeed, Args: []byte("payload"),
 			ArgPromisePos: []uint64{1}, ArgPromiseIDs: []uint64{3}, Promise: 9, ID: 77, DeadlineMillis: 100, Barrier: 4},
 		&PromiseResolve{Promise: 9, Status: StatusPromiseBroken, Err: "dependency failed", Results: []byte{1, 2}, NeedAck: true},

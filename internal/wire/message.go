@@ -40,8 +40,8 @@ const (
 	OpLeaseAck
 	// OpCancelCall forwards a caller's alert to the owner: the call
 	// identified by its id should stop as soon as it can (the paper's
-	// Thread.Alert propagated across the wire). Connections are lock-step,
-	// so the cancel travels on its own connection, not the call's.
+	// Thread.Alert propagated across the wire). It travels on its own
+	// stream, not the call's.
 	OpCancelCall
 	// OpCancelAck answers a CancelCall; StatusOK means the call was found
 	// in flight and its context cancelled, StatusNoSuchObject that it had
@@ -54,9 +54,9 @@ const (
 	// not nest.
 	OpMux
 	// OpData carries one bounded chunk of a large muxed message:
-	// [OpData][stream id][flags][chunk bytes]. Flow-enabled sessions split
-	// any payload larger than the negotiated chunk size into OpData frames
-	// so a bulk argument cannot monopolize the shared writer. Flags bit 0
+	// [OpData][stream id][flags][chunk bytes]. Sessions split any payload
+	// larger than the negotiated chunk size into OpData frames so a bulk
+	// argument cannot monopolize the shared writer. Flags bit 0
 	// (DataFlagLast) marks the final chunk of a message; bit 1
 	// (DataFlagReset) aborts the stream's partial assembly (the sender
 	// abandoned the message mid-stream).
@@ -75,21 +75,11 @@ const (
 	OpFlowPing
 	// OpFlowPong answers an OpFlowPing: [OpFlowPong][token].
 	OpFlowPong
-	// OpSessHello advertises a session's flow-control capability and
-	// receive windows. It travels wrapped in the mux envelope on reserved
-	// stream id 0 — [OpMux][0][marshaled SessHello] — so legacy peers that
-	// predate flow control discard it harmlessly (clients drop frames for
-	// unknown stream ids; servers fail a single accept handler's decode).
-	// Naked flow frames (OpData, OpWindowUpdate, OpFlowPing/Pong) are only
-	// ever sent after the peer's hello has been received.
+	// OpSessHello advertises a session's receive windows and chunk size.
+	// It travels wrapped in the mux envelope on reserved stream id 0 —
+	// [OpMux][0][marshaled SessHello] — and is every session's first
+	// frame. Chunked sends (OpData) wait for the peer's hello.
 	OpSessHello
-	// OpPipeHello advertises a session's promise-pipelining and batching
-	// capability. Like SessHello it travels wrapped in the mux envelope on
-	// reserved stream id 0 so legacy peers discard it harmlessly; it is a
-	// separate message (not new SessHello fields) because the decoder
-	// rejects trailing bytes — growing SessHello would make old peers drop
-	// the whole hello and lose flow control against new ones.
-	OpPipeHello
 	// OpPipeCall requests invocation of a method whose receiver or
 	// arguments may be unresolved promises from earlier pipelined calls on
 	// the same session. The owner chains it against its per-session
@@ -105,17 +95,9 @@ const (
 	// executed in send order relative to each other, and a later pipelined
 	// call can fence on them via PipeCall.Barrier.
 	OpOneWay
-	// OpBatch coalesces several complete frames into one transport frame:
-	// [OpBatch]([uvarint length][frame bytes])*. The receiver processes
-	// the sub-frames exactly as if they had arrived separately. Only sent
-	// to peers that advertised CapBatch in their PipeHello, so it never
-	// reaches a decoder that cannot split it.
-	OpBatch
 	// OpPeerHello advertises a session endpoint's space identity. Like
-	// SessHello and PipeHello it travels wrapped in the mux envelope on
-	// reserved stream id 0 so legacy peers discard it harmlessly; it is a
-	// separate message (not new SessHello fields) because the decoder
-	// rejects trailing bytes. The identity lets the collector's liveness
+	// SessHello it travels wrapped in the mux envelope on reserved stream
+	// id 0, right after it. The identity lets the collector's liveness
 	// daemons treat a healthy session to a peer as proof that the peer is
 	// alive, without mistaking an endpoint reused by a new incarnation for
 	// the space that used to answer there.
@@ -180,16 +162,12 @@ func (o Op) String() string {
 		return "flow-pong"
 	case OpSessHello:
 		return "sess-hello"
-	case OpPipeHello:
-		return "pipe-hello"
 	case OpPipeCall:
 		return "pipe-call"
 	case OpPromiseResolve:
 		return "promise-resolve"
 	case OpOneWay:
 		return "one-way"
-	case OpBatch:
-		return "batch"
 	case OpPeerHello:
 		return "peer-hello"
 	case OpCycleQuery:
@@ -699,15 +677,14 @@ func PeekOp(frame []byte) Op {
 		return OpInvalid
 	}
 	// Inside the envelope only ordinary messages appear — plus the
-	// stream-0 control messages (SessHello, PipeHello) and the pipelined
+	// stream-0 control messages (SessHello, PeerHello) and the pipelined
 	// invocation messages, which are muxed like calls. Envelopes do not
-	// nest; naked session-control ops and batch frames never appear
-	// wrapped.
+	// nest; naked session-control ops never appear wrapped.
 	if inner > uint64(maxOp) {
 		return OpInvalid
 	}
 	switch Op(inner) {
-	case OpMux, OpData, OpWindowUpdate, OpFlowPing, OpFlowPong, OpBatch:
+	case OpMux, OpData, OpWindowUpdate, OpFlowPing, OpFlowPong:
 		return OpInvalid
 	}
 	return Op(inner)
@@ -749,8 +726,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = new(CancelAck)
 	case OpSessHello:
 		m = new(SessHello)
-	case OpPipeHello:
-		m = new(PipeHello)
 	case OpPipeCall:
 		m = new(PipeCall)
 	case OpPromiseResolve:
